@@ -23,7 +23,7 @@ import numpy as np
 
 from . import fp, intlin
 from .errors import ResourceCapError
-from .gmodules import FiniteAbelianGroup, GModule
+from .gmodules import FiniteAbelianGroup, make_trivial, restrict
 
 DEFAULT_MAX_CELLS = 10 ** 6
 
@@ -81,23 +81,6 @@ class BarComplex:
             return np.zeros(self.r, dtype=np.int64)
         i = self.tuple_index(t)
         return f[i * self.r:(i + 1) * self.r]
-
-    def apply_delta(self, f, n):
-        """delta_n applied to a degree-n cochain vector."""
-        G, M, r = self.group, self.module, self.r
-        out = np.zeros(self.dim(n + 1), dtype=np.int64)
-        for idx, t in enumerate(self.tuples(n + 1)):
-            acc = M.act(t[0]) @ self.block(f, t[1:])
-            sign = -1
-            for i in range(n):
-                merged = t[:i] + (G.mul(t[i], t[i + 1]),) + t[i + 2:]
-                acc = acc + sign * self.block(f, merged)
-                sign = -sign
-            acc = acc + sign * self.block(f, t[:n])
-            out[idx * r:(idx + 1) * r] = acc
-        if M.p:
-            out %= M.p
-        return out
 
     def delta_matrix(self, n):
         """Dense matrix of delta_n, shape dim(n+1) x dim(n)."""
@@ -244,14 +227,7 @@ def _kernel_mod_image_z(T_basis, image_cols, rank):
     k = len(T_basis)
     if k == 0:
         return FiniteAbelianGroup([], 0)
-    Tcols = [[T_basis[i][r] for i in range(k)] for r in range(rank)]
-    ce = intlin.ColumnEchelon(Tcols)
-    cols = []
-    for v in image_cols:
-        c = ce.solve([int(x) for x in v])
-        if c is None:
-            raise RuntimeError("image vector not inside the kernel lattice")
-        cols.append(c)
+    cols = intlin.lattice_coords(T_basis, image_cols, rank)
     free, factors, _ = intlin.quotient_structure(k, cols)
     return FiniteAbelianGroup(factors, free)
 
@@ -364,8 +340,7 @@ def cup_with_trivial(group, module, a, p_deg, b, q_deg):
     """
     assert module.p is not None
     bc = BarComplex(group, module)
-    scal = BarComplex(group, GModule(group, module.ring, 1,
-                                     {g: [[1]] for g in group.generators}, check=False))
+    scal = BarComplex(group, make_trivial(group, module.ring))
     n = p_deg + q_deg
     out = np.zeros(bc.dim(n), dtype=np.int64)
     r = bc.r
@@ -382,26 +357,24 @@ def cup_with_trivial(group, module, a, p_deg, b, q_deg):
     return out % module.p
 
 
-def restriction_cochain(G, module, subgroup, H, embed, f, n):
-    """Restrict a degree-n cochain over G to the subgroup (as its own group).
-
-    H, embed as produced by subgroup.as_group(); the coefficient module is
-    reused with its parent coordinates.
+def restriction_cochain(G, module, subgroup, f, n):
+    """Restrict a degree-n cochain over G to the subgroup, as the group
+    subgroup.as_group(); the coefficient module keeps its parent coordinates.
     """
     bcG = BarComplex(G, module)
-    MH = GModule(H, module.ring, module.rank,
-                 {i: module.act(embed[i]) for i in H.generators}, check=False)
+    MH, H, embed = restrict(module, subgroup)
     bcH = BarComplex(H, MH)
     out = np.zeros(bcH.dim(n), dtype=np.int64)
     r = module.rank
     for idx, t in enumerate(bcH.tuples(n)):
         parent_t = tuple(embed[x] for x in t)
         out[idx * r:(idx + 1) * r] = bcG.block(f, parent_t)
-    return out, MH
+    return out
 
 
-def corestriction_cochain(G, module, subgroup, H, embed, fH, n):
-    """Chain-level transfer of a degree-n cochain from a subgroup to G.
+def corestriction_cochain(G, module, subgroup, fH, n):
+    """Chain-level transfer of a degree-n cochain over subgroup.as_group()
+    to G.
 
     Right coset representatives t_i of H\\G are the minimal element index in
     each coset.  Writing t_i g = h_i(g) t_{sigma_g(i)} with h_i(g) in the
@@ -411,14 +384,13 @@ def corestriction_cochain(G, module, subgroup, H, embed, fH, n):
 
     with i_1 = i and i_{k+1} = sigma_{g_k}(i_k).
     """
+    MH, H, embed = restrict(module, subgroup)
     inv_embed = {e: j for j, e in enumerate(embed)}
     reps = subgroup.right_coset_reps()
     coset_of = {}
     for i, t in enumerate(reps):
         for h in subgroup.elements:
             coset_of[G.mul(h, t)] = i
-    MH = GModule(H, module.ring, module.rank,
-                 {i: module.act(embed[i]) for i in H.generators}, check=False)
     bcG = BarComplex(G, module)
     bcH = BarComplex(H, MH)
     r = module.rank
@@ -448,14 +420,10 @@ def conjugation_cochain(G, module, src_subgroup, x, f, n):
 
     Both subgroup cochain spaces use their as_group presentations.
     """
-    H, embedH = src_subgroup.as_group()
     tgt = G.generated_subgroup([G.conj(x, a) for a in src_subgroup.elements])
-    K, embedK = tgt.as_group()
+    MH, H, embedH = restrict(module, src_subgroup)
+    MK, K, embedK = restrict(module, tgt)
     inv_embedH = {e: j for j, e in enumerate(embedH)}
-    MH = GModule(H, module.ring, module.rank,
-                 {i: module.act(embedH[i]) for i in H.generators}, check=False)
-    MK = GModule(K, module.ring, module.rank,
-                 {i: module.act(embedK[i]) for i in K.generators}, check=False)
     bcH = BarComplex(H, MH)
     bcK = BarComplex(K, MK)
     r = module.rank
@@ -465,7 +433,7 @@ def conjugation_cochain(G, module, src_subgroup, x, f, n):
         out[idx * r:(idx + 1) * r] = module.act(x) @ bcH.block(f, back)
     if module.p:
         out %= module.p
-    return out, tgt, K, embedK
+    return out, tgt
 
 
 def character_chern(group, chi):
@@ -480,8 +448,7 @@ def character_chern(group, chi):
         for b in range(group.order):
             if (chi[a] + chi[b] - chi[group.mul(a, b)]) % 1 != 0:
                 raise ValueError("chi is not a homomorphism to Q/Z")
-    triv = GModule(group, "Z", 1, {g: [[1]] for g in group.generators}, check=False)
-    bc = BarComplex(group, triv)
+    bc = BarComplex(group, make_trivial(group))
     out = np.zeros(bc.dim(2), dtype=np.int64)
     for idx, (a, b) in enumerate(bc.tuples(2)):
         carry = chi[a] + chi[b] - (chi[group.mul(a, b)] % 1)
@@ -563,27 +530,6 @@ class IntegralClassSpace:
             if w[j] != 0:
                 raise ValueError("vector is not a cocycle (free cokernel coordinate)")
         return tuple(w[j] % self.diag[j] for j in self.torsion_slots)
-
-    def subgroup_generated(self, classes, cap=10 ** 5):
-        """All elements of the subgroup of H^n generated by the given class
-        coordinate tuples (BFS closure under addition)."""
-        mods = self.factors
-        zero = tuple(0 for _ in mods)
-        seen = {zero}
-        frontier = [zero]
-        gens = [tuple(c) for c in classes]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for g in gens:
-                    w = tuple((a + b) % m for a, b, m in zip(v, g, mods))
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-                        if len(seen) > cap:
-                            raise RuntimeError("generated subgroup too large")
-            frontier = nxt
-        return seen
 
     def element_order(self, cls):
         ord_ = 1

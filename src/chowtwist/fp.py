@@ -22,7 +22,7 @@ def _inv_mod(x, p):
 
 def rref(a, p):
     """Reduced row echelon form; returns (R, pivot_columns)."""
-    R = asmod(a, p).copy()
+    R = asmod(a, p)
     m, n = R.shape
     pivots = []
     row = 0

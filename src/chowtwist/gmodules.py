@@ -15,7 +15,7 @@ import numpy as np
 
 from . import fp, intlin, kleinres
 from .errors import SizePolicyError
-from .groups import FiniteGroup, Subgroup, make_klein4
+from .groups import make_klein4
 
 RING_Z = "Z"
 
@@ -60,25 +60,26 @@ class GModule:
         self.p = ring_prime(ring)
         self.rank = int(rank)
         self.name = name or "M"
-        n = group.order
-        mats = {group.identity: np.eye(self.rank, dtype=np.int64)}
+        gens = {}
         for g, m in action_on_generators.items():
             m = np.asarray(m, dtype=np.int64)
             if m.shape != (self.rank, self.rank):
                 raise ValueError("action matrix has wrong shape")
-            mats[int(g)] = m % self.p if self.p else m
-        # complete by BFS over products with known elements
-        changed = True
-        while changed and len(mats) < n:
-            changed = False
-            for a in list(mats):
-                for b in list(mats):
-                    c = group.mul(a, b)
+            gens[int(g)] = m % self.p if self.p else m
+        mats = {group.identity: np.eye(self.rank, dtype=np.int64), **gens}
+        # complete by BFS: multiply each newly reached element by the generators
+        frontier = list(mats)
+        while frontier:
+            nxt = []
+            for a in frontier:
+                for g, mg in gens.items():
+                    c = group.mul(a, g)
                     if c not in mats:
-                        prod = mats[a] @ mats[b]
+                        prod = mats[a] @ mg
                         mats[c] = prod % self.p if self.p else prod
-                        changed = True
-        if len(mats) < n:
+                        nxt.append(c)
+            frontier = nxt
+        if len(mats) < group.order:
             raise ValueError("generators with given action do not cover the group")
         self._mats = mats
         if check:
@@ -140,14 +141,7 @@ class GModule:
         if k == 0:
             return FiniteAbelianGroup([], 0)
         # write each tr(e_j) in the fixed basis, then take the cokernel
-        F = [[fixed[i][r] for i in range(k)] for r in range(self.rank)]
-        ce = intlin.ColumnEchelon(F)
-        cols = []
-        for j in range(self.rank):
-            c = ce.solve([int(tr[r, j]) for r in range(self.rank)])
-            if c is None:
-                raise RuntimeError("trace image not inside the fixed lattice")
-            cols.append(c)
+        cols = intlin.lattice_coords(fixed, tr.T, self.rank)
         free_rank, factors, _ = intlin.quotient_structure(k, cols)
         return FiniteAbelianGroup(factors, free_rank)
 
@@ -157,16 +151,20 @@ class GModule:
         gens = {g: self.act(G.inv(g)).T for g in G.generators}
         return GModule(G, self.ring, self.rank, gens, check=False, name=self.name + "*")
 
-    def direct_sum(self, other):
-        assert self.group is other.group and self.ring == other.ring
-        r1, r2 = self.rank, other.rank
+    def direct_sum(self, *others):
+        """Block-diagonal sum of this module and the others, in order."""
+        mods = (self,) + others
+        assert all(m.group is self.group and m.ring == self.ring for m in mods)
+        total = sum(m.rank for m in mods)
         gens = {}
         for g in self.group.generators:
-            m = np.zeros((r1 + r2, r1 + r2), dtype=np.int64)
-            m[:r1, :r1] = self.act(g)
-            m[r1:, r1:] = other.act(g)
-            gens[g] = m
-        return GModule(self.group, self.ring, r1 + r2, gens, check=False)
+            mat = np.zeros((total, total), dtype=np.int64)
+            off = 0
+            for m in mods:
+                mat[off:off + m.rank, off:off + m.rank] = m.act(g)
+                off += m.rank
+            gens[g] = mat
+        return GModule(self.group, self.ring, total, gens, check=False)
 
     def change_ring_mod(self, p):
         """Reduction M/pM of an integral module."""
@@ -337,29 +335,25 @@ def random_cyclic_module(group, rank, rng=None, ring=RING_Z):
         d = blk.shape[0]
         gen_mat[off:off + d, off:off + d] = blk
         off += d
-    # conjugate by a random product of elementary unimodular matrices
-    U = np.eye(rank, dtype=np.int64)
-    for _ in range(2 * rank):
-        i, j = rng.randrange(rank), rng.randrange(rank)
-        if i != j:
-            E = np.eye(rank, dtype=np.int64)
-            E[i, j] = rng.choice([1, -1])
-            U = U @ E
-    Uinv = np.round(np.linalg.inv(U)).astype(np.int64)
-    assert np.array_equal((U @ Uinv), np.eye(rank, dtype=np.int64))
+    U, Uinv = _random_unimodular(rank, rng)
     gens = {group.generators[0]: U @ gen_mat @ Uinv}
     return GModule(group, ring, rank, gens, check=True, name="rand")
 
 
 def _random_unimodular(rank, rng):
+    """A random product U of elementary matrices, and its exact inverse as
+    the product of the elementary inverses in reverse order."""
     U = np.eye(rank, dtype=np.int64)
+    Uinv = np.eye(rank, dtype=np.int64)
     for _ in range(2 * rank):
         i, j = rng.randrange(rank), rng.randrange(rank)
         if i != j:
             E = np.eye(rank, dtype=np.int64)
             E[i, j] = rng.choice([1, -1])
             U = U @ E
-    return U
+            E[i, j] = -E[i, j]
+            Uinv = E @ Uinv
+    return U, Uinv
 
 
 def random_lattice(group, rng=None):
@@ -385,12 +379,8 @@ def random_lattice(group, rng=None):
             pieces.append(make_augmentation_quotient(group))
         else:
             pieces.append(P)
-    M = pieces[0]
-    for extra in pieces[1:]:
-        M = M.direct_sum(extra)
-    U = _random_unimodular(M.rank, rng)
-    Uinv = np.round(np.linalg.inv(U)).astype(np.int64)
-    assert np.array_equal(U @ Uinv, np.eye(M.rank, dtype=np.int64))
+    M = pieces[0].direct_sum(*pieces[1:])
+    U, Uinv = _random_unimodular(M.rank, rng)
     gens = {g: U @ M.act(g) @ Uinv for g in group.generators}
     return GModule(group, RING_Z, M.rank, gens, check=False, name="randlat")
 
@@ -467,29 +457,20 @@ def _radical_complement_basis(M):
     return gens
 
 
-def _free_module_action(group, k, ring):
-    """(ring G)^k with basis delta_{i,g}, index i*|G| + g; g0 . delta_{i,g}
-    = delta_{i, g0 g}."""
-    n = group.order
-    gens = {}
-    for g0 in group.generators:
-        m = np.zeros((k * n, k * n), dtype=np.int64)
-        for i in range(k):
-            for g in range(n):
-                m[i * n + group.mul(g0, g), i * n + g] = 1
-        gens[g0] = m
-    return GModule(group, ring, k * n, gens, check=False, name="free^%d" % k)
+def permutation_sum(M, pieces, ring=RING_Z, name="P"):
+    """P = sum of ring[G/H] over the (H, w) pieces, with the matrix of the
+    map S : P -> M sending the coset tH of each summand to t.w.
 
-
-def _surjection_matrix(M, gens):
-    """Matrix of (ring G)^k -> M sending delta_{i,g} to g . gens[i]."""
-    n = M.group.order
-    k = len(gens)
-    S = np.zeros((M.rank, k * n), dtype=np.int64)
-    for i, v in enumerate(gens):
-        for g in range(n):
-            S[:, i * n + g] = M.apply(g, v)
-    return S % M.p if M.p else S
+    Cosets are ordered by make_permutation.  S is G-equivariant when each w
+    is fixed by its H; trivial-subgroup pieces give a free module.
+    """
+    G = M.group
+    perms = [make_permutation(G, H, ring) for H, _ in pieces]
+    P = make_trivial(G, ring, rank=0).direct_sum(*perms)
+    P.name = name
+    cols = [M.apply(t, w) for H, w in pieces for t in H.left_coset_reps()]
+    S = np.array(cols, dtype=np.int64).reshape(len(cols), M.rank).T
+    return P, S % M.p if M.p else S
 
 
 def _submodule_from_kernel(F, kernel_rows, name):
@@ -499,31 +480,19 @@ def _submodule_from_kernel(F, kernel_rows, name):
     computed by applying F's generators and re-expressing in the basis.
     """
     k = len(kernel_rows)
-    if k == 0:
-        z = np.zeros((0, 0), dtype=np.int64)
-        return GModule(F.group, F.ring, 0, {g: z for g in F.group.generators},
-                       check=False, name=name)
-    K = np.array(kernel_rows, dtype=np.int64)
-    gens = {}
+    K = np.array(kernel_rows, dtype=np.int64).reshape(k, F.rank)
+    gens = F.group.generators
     if F.p:
-        for g in F.group.generators:
-            img = (F.act(g) @ K.T) % F.p
-            sol = fp.solve(K.T, img, F.p)
-            if sol is None:
-                raise RuntimeError("subspace is not stable under the action")
-            gens[g] = sol
+        mats = [fp.solve(K.T, (F.act(g) @ K.T) % F.p, F.p) for g in gens]
+        if any(m is None for m in mats):
+            raise RuntimeError("subspace is not stable under the action")
     else:
-        ceK = intlin.ColumnEchelon([[int(K[i][r]) for i in range(k)] for r in range(F.rank)])
-        for g in F.group.generators:
-            cols = []
-            for i in range(k):
-                img = F.apply(g, K[i])
-                c = ceK.solve([int(x) for x in img])
-                if c is None:
-                    raise RuntimeError("sublattice is not stable under the action")
-                cols.append(c)
-            gens[g] = np.array(cols, dtype=np.int64).T
-    return GModule(F.group, F.ring, k, gens, check=False, name=name)
+        # one echelon of the basis; the images under every generator solved in it
+        imgs = (F.apply(g, v) for g in gens for v in K)
+        cols = intlin.lattice_coords(K, imgs, F.rank)
+        mats = [np.array(cols[i * k:(i + 1) * k], dtype=np.int64).reshape(k, k).T
+                for i in range(len(gens))]
+    return GModule(F.group, F.ring, k, dict(zip(gens, mats)), check=False, name=name)
 
 
 def syzygy(M, gens=None):
@@ -546,8 +515,8 @@ def syzygy(M, gens=None):
         gens = _radical_complement_basis(M)
     elif gens is None:
         gens = _module_generators_z(M)
-    F = _free_module_action(M.group, len(gens), M.ring)
-    S = _surjection_matrix(M, gens)
+    E = M.group.trivial_subgroup()
+    F, S = permutation_sum(M, [(E, v) for v in gens], M.ring)
     if M.p:
         ker = fp.nullspace(S, M.p)
         ker_rows = [list(v) for v in ker]
@@ -590,20 +559,6 @@ def make_omega2_trivial(group):
         v[pos[s]] = 1
         gens.append(v)
     return syzygy(I, gens=gens)
-
-
-def cosyzygy_fp(M):
-    """Minimal cosyzygy over F_p for a p-group: dual of the syzygy of the dual."""
-    if M.p is None:
-        raise ValueError("cosyzygy is implemented over prime fields only")
-    return syzygy(M.dual()).dual()
-
-
-def syzygy_power(M, n):
-    out = M
-    for _ in range(n):
-        out = syzygy(out)
-    return out
 
 
 def omega_klein(n):
@@ -652,10 +607,11 @@ def l_zeta_klein(zeta, n):
     if not (1 <= n <= 8):
         raise SizePolicyError("power must be between 1 and 8")
     G = make_klein4()
-    # P_n = L^{n+1} as an F_2 module of dimension 4(n+1) with regular blocks
-    Pn = _free_module_action(G, n + 1, "F2")
-    Pprev = _free_module_action(G, n, "F2")
-    D = _resolution_matrix_grouped(G, n)
+    # P_{n-1} = L^n as an F_2 module of n regular blocks; kleinres uses the
+    # same element-major layout inside each block
+    L = make_regular(G, "F2")
+    Pprev = L.direct_sum(*[L] * (n - 1))
+    D = kleinres.resolution_differential(G, n)
     # functional f on P_n: slot (p, n-p) contributes C(n,p) a^p b^{n-p} * aug
     f = np.zeros(4 * (n + 1), dtype=np.int64)
     for s in range(n + 1):
@@ -663,10 +619,9 @@ def l_zeta_klein(zeta, n):
         if c % 2:
             f[4 * s: 4 * (s + 1)] = 1  # augmentation on the group-algebra block
     # f must kill the next differential (cocycle condition)
-    Dnext = _resolution_matrix_grouped(G, n + 1)
+    Dnext = kleinres.resolution_differential(G, n + 1)
     assert not ((f @ Dnext) % 2).any(), "representative is not a cocycle"
     # Omega^n = image of D inside P_{n-1}; induced functional via preimages
-    cols = D.T  # each column of D as a row
     pivot_idx = []
     span_rows = []
     base = 0
@@ -683,12 +638,3 @@ def l_zeta_klein(zeta, n):
     L_rows = [(c @ B) % 2 for c in ker_coords]
     return _submodule_from_kernel(Pprev, L_rows, "L_zeta^%d" % n)
 
-
-def _resolution_matrix_grouped(G, n):
-    """Resolution differential with the group-element-major block layout used
-    by _free_module_action (index i*|G| + g rather than kleinres's 4-blocks).
-
-    The two layouts agree because each block is a full group-algebra copy;
-    this wrapper just reuses kleinres with the same convention.
-    """
-    return kleinres.resolution_differential(G, n)

@@ -176,6 +176,7 @@ class Subgroup:
         self.order = len(els)
         self.index = parent.order // self.order
         self._pos = {e: i for i, e in enumerate(els)}
+        self._as_group = None
 
     def __contains__(self, e):
         return e in self._pos
@@ -186,18 +187,15 @@ class Subgroup:
     def __hash__(self):
         return hash((id(self.parent), self.elements))
 
-    def position(self, e):
-        return self._pos[e]
-
-    def is_full(self):
-        return self.order == self.parent.order
-
     def as_group(self):
         """The subgroup as a standalone FiniteGroup plus the inclusion map.
 
         Returns (H, embed) where embed[i] is the parent index of H's
-        element i.
+        element i; embed is the tuple self.elements.  Built once per
+        Subgroup and shared by every caller.
         """
+        if self._as_group is not None:
+            return self._as_group
         G = self.parent
         els = self.elements
         pos = self._pos
@@ -225,7 +223,8 @@ class Subgroup:
             generators=gens,
             name="%s_sub%d" % (G.name, self.order),
         )
-        return H, list(els)
+        self._as_group = (H, els)
+        return self._as_group
 
     def conjugate(self, g):
         G = self.parent

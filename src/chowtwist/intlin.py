@@ -174,6 +174,19 @@ def solve_int(rows, b):
     return ColumnEchelon(rows).solve(b)
 
 
+def lattice_coords(basis, vectors, dim):
+    """Coordinates of each vector in the lattice spanned by the length-dim
+    basis vectors; raises RuntimeError if a vector lies outside it."""
+    ce = ColumnEchelon([[int(b[r]) for b in basis] for r in range(dim)])
+    out = []
+    for v in vectors:
+        c = ce.solve([int(x) for x in v])
+        if c is None:
+            raise RuntimeError("vector outside the lattice")
+        out.append(c)
+    return out
+
+
 class IntLattice:
     """Incremental integer column lattice with membership tests.
 

@@ -117,14 +117,6 @@ def monomial_cocycle(M, m0, alpha, beta):
     return f
 
 
-def shift_x(M, f, n):
-    """Cup with x: degree-n cochain -> degree-(n+1), (xf)_{p,q} = f_{p-1,q}."""
-    r = M.rank
-    out = np.zeros((n + 2) * r, dtype=np.int64)
-    out[r:] = f
-    return out
-
-
 def shift_y(M, f, n):
     """Cup with y: (yf)_{p,q} = f_{p,q-1}."""
     r = M.rank

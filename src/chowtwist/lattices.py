@@ -12,8 +12,8 @@ import numpy as np
 
 from . import fp, intlin
 from .errors import SizePolicyError
-from .gmodules import (FiniteAbelianGroup, GModule, make_permutation,
-                       make_regular, omega_negative_klein)
+from .gmodules import (FiniteAbelianGroup, _submodule_from_kernel,
+                       omega_negative_klein, permutation_sum)
 from .groups import make_klein4
 
 
@@ -94,7 +94,6 @@ def fixed_surjective(P, M, S, subgroup):
     images = [S @ np.asarray(v, dtype=np.int64) for v in fixP]
     if M.p:
         rows = np.array(images, dtype=np.int64).reshape(len(images), -1) % M.p
-        base = fp.rank(rows, M.p)
         for w in fixM:
             if not fp.in_rowspan(rows, np.asarray(w), M.p):
                 return False
@@ -135,7 +134,7 @@ def coflasque_resolution(M, prune=False):
             pieces.append((S, list(w)))
     if prune:
         pieces = _prune_pieces(G, M, pieces)
-    P, Smat = _assemble(G, M, pieces)
+    P, Smat = permutation_sum(M, pieces)
     if M.p:
         # integer kernel of "S x = 0 mod p": x-parts of ker [S | pI]
         rows = [[int(x) for x in row] + [M.p if i == j else 0 for j in range(M.rank)]
@@ -147,57 +146,8 @@ def coflasque_resolution(M, prune=False):
         q_basis = lat.basis_vectors()
     else:
         q_basis = intlin.kernel_basis([[int(x) for x in r] for r in Smat])
-    Q = _lattice_module(P, q_basis, "Q(%s)" % M.name)
+    Q = _submodule_from_kernel(P, q_basis, "Q(%s)" % M.name)
     return CoflasqueResolution(M, pieces, P, Smat, Q, q_basis)
-
-
-def _assemble(G, M, pieces):
-    """Permutation module and surjection matrix for a list of
-    (subgroup, fixed vector) pieces."""
-    mods = [make_permutation(G, S, "Z") for S, _ in pieces]
-    total = sum(m.rank for m in mods)
-    gens = {}
-    for g in G.generators:
-        mat = np.zeros((total, total), dtype=np.int64)
-        off = 0
-        for m in mods:
-            mat[off:off + m.rank, off:off + m.rank] = m.act(g)
-            off += m.rank
-        gens[g] = mat
-    P = GModule(G, "Z", total, gens, check=False, name="P")
-    Smat = np.zeros((M.rank, total), dtype=np.int64)
-    off = 0
-    for (S, w), pm in zip(pieces, mods):
-        reps = S.left_coset_reps()
-        for j, t in enumerate(reps):
-            col = M.apply(t, w)
-            Smat[:, off + j] = col
-        off += pm.rank
-    if M.p:
-        Smat %= M.p
-    return P, Smat
-
-
-def _lattice_module(P, basis, name):
-    """Module structure on a full- or partial-rank stable sublattice of P."""
-    k = len(basis)
-    if k == 0:
-        z = np.zeros((0, 0), dtype=np.int64)
-        return GModule(P.group, "Z", 0, {g: z for g in P.group.generators},
-                       check=False, name=name)
-    cols = [[basis[i][r] for i in range(k)] for r in range(P.rank)]
-    ce = intlin.ColumnEchelon(cols)
-    gens = {}
-    for g in P.group.generators:
-        colsg = []
-        for i in range(k):
-            img = P.apply(g, basis[i])
-            c = ce.solve([int(x) for x in img])
-            if c is None:
-                raise RuntimeError("sublattice not stable under the action")
-            colsg.append(c)
-        gens[g] = np.array(colsg, dtype=np.int64).T
-    return GModule(P.group, "Z", k, gens, check=False, name=name)
 
 
 def _prune_pieces(G, M, pieces):
@@ -208,7 +158,7 @@ def _prune_pieces(G, M, pieces):
         trial = kept[:i] + kept[i + 1:]
         if not trial:
             break
-        Ptrial, Smat = _assemble(G, M, trial)
+        Ptrial, Smat = permutation_sum(M, trial)
         if all(fixed_surjective(Ptrial, M, Smat, S) for S in G.subgroups()):
             kept = trial
         else:
@@ -245,18 +195,19 @@ def counterexample_lattices(m):
     G = make_klein4()
     M = omega_negative_klein(m)
     r = 2 * m + 1
-    # B = (ZG)^m + Z^{m+1}; ZG block i has f_i at offset 4*i (identity slot)
+
+    def e(i):
+        v = np.zeros(r, dtype=np.int64)
+        v[i - 1] = 1
+        return v
+
+    # B = (ZG)^m + Z^{m+1}; ZG block i has f_i at offset 4*i (identity slot).
+    # The surjection B -> M sends f_i -> e_{m+1+i} (i <= m), f_{m+i} -> e_i,
+    # extended over the regular blocks by equivariance
     nB = 4 * m + (m + 1)
-    reg = make_regular(G)
-    gens = {}
-    for g in G.generators:
-        mat = np.zeros((nB, nB), dtype=np.int64)
-        for i in range(m):
-            mat[4 * i:4 * i + 4, 4 * i:4 * i + 4] = reg.act(g)
-        for j in range(m + 1):
-            mat[4 * m + j, 4 * m + j] = 1
-        gens[g] = mat
-    B = GModule(G, "Z", nB, gens, check=False, name="B")
+    B, S = permutation_sum(
+        M, [(G.trivial_subgroup(), e(m + 1 + i)) for i in range(1, m + 1)]
+        + [(G.full_subgroup(), e(i)) for i in range(1, m + 2)], name="B")
 
     def f(i):
         """Basis vector f_i of B, 1-indexed as in the construction."""
@@ -266,21 +217,6 @@ def counterexample_lattices(m):
         else:
             v[4 * m + (i - m - 1)] = 1
         return v
-
-    def e(i):
-        v = np.zeros(r, dtype=np.int64)
-        v[i - 1] = 1
-        return v
-
-    # surjection B -> M: f_i -> e_{m+1+i} (i <= m), f_{m+i} -> e_i; extended
-    # over the regular blocks by equivariance
-    S = np.zeros((r, nB), dtype=np.int64)
-    for i in range(1, m + 1):
-        for g in range(4):
-            S[:, 4 * (i - 1) + g] = M.apply(g, e(m + 1 + i))
-    for i in range(1, m + 2):
-        S[:, 4 * m + (i - 1)] = e(i)
-    S %= 2
 
     # A basis s_1..s_{5m+1} inside B
     def act_f(g, i):
@@ -312,40 +248,14 @@ def counterexample_lattices(m):
     for v in lat.basis_vectors():
         assert stated.contains(v), "stated basis does not span the kernel"
 
-    A = _lattice_module(B, a_basis, "A")
+    A = _submodule_from_kernel(B, a_basis, "A")
 
-    # P = three blocks of Z[G/H_a]^m; H_1 = <g>, H_2 = <h>, H_3 = <gh>
-    ceA = intlin.ColumnEchelon([[a_basis[i][rr] for i in range(5 * m + 1)]
-                                for rr in range(nB)])
-
-    def a_coords(vec):
-        c = ceA.solve([int(x) for x in vec])
-        assert c is not None
-        return c
-
-    subgroups = [G.generated_subgroup([1]), G.generated_subgroup([2]),
-                 G.generated_subgroup([3])]
-    pieces = []
-    for a, H in enumerate(subgroups):
-        # generator for block (a, i): s_i + s_{(2+a)m+1+i}
-        for i in range(1, m + 1):
-            tgt = [x + y for x, y in zip(a_basis[i - 1], a_basis[2 * m + a * m + i])]
-            pieces.append((H, a_coords(tgt)))
-    Pmods = [make_permutation(G, H, "Z") for H, _ in pieces]
-    nP = sum(pm.rank for pm in Pmods)
-    gensP = {}
-    for g in G.generators:
-        mat = np.zeros((nP, nP), dtype=np.int64)
-        off = 0
-        for pm in Pmods:
-            mat[off:off + pm.rank, off:off + pm.rank] = pm.act(g)
-            off += pm.rank
-        gensP[g] = mat
-    P = GModule(G, "Z", nP, gensP, check=False, name="P")
-    p_to_a = np.zeros((5 * m + 1, nP), dtype=np.int64)
-    off = 0
-    for (H, w), pm in zip(pieces, Pmods):
-        for j, t in enumerate(H.left_coset_reps()):
-            p_to_a[:, off + j] = A.apply(t, w)
-        off += pm.rank
+    # P = three blocks of Z[G/H_a]^m; H_1 = <g>, H_2 = <h>, H_3 = <gh>; the
+    # generator for block (a, i) maps to s_i + s_{(2+a)m+1+i}
+    subgroups = [G.generated_subgroup([a]) for a in (1, 2, 3)]
+    targets = [[x + y for x, y in zip(a_basis[i - 1], a_basis[2 * m + a * m + i])]
+               for a in range(3) for i in range(1, m + 1)]
+    a_coords = intlin.lattice_coords(a_basis, targets, nB)
+    pieces = [(subgroups[j // m], c) for j, c in enumerate(a_coords)]
+    P, p_to_a = permutation_sum(A, pieces)
     return CounterexampleData(m, M, B, S, A, a_basis, P, pieces, p_to_a)

@@ -9,18 +9,20 @@ run these; nothing here is mocked or special-cased.
 
 from __future__ import annotations
 
+import os
 import random
 
 import numpy as np
 
-from . import chow, fp, graded, kleinres
+from . import chow, fp, graded
 from . import cohomology as coh
-from .gmodules import (GModule, make_augmentation_quotient, make_klein4,
-                       make_regular, make_sign_cyclic, make_trivial,
-                       make_omega2_trivial, omega_klein, omega_negative_klein,
-                       random_cyclic_module, random_lattice)
+from .gmodules import (make_augmentation_quotient, make_klein4, make_regular,
+                       make_sign_cyclic, make_trivial, make_omega2_trivial,
+                       omega_klein, omega_negative_klein, random_cyclic_module,
+                       random_lattice, restrict)
 from .groups import make_cyclic, make_quaternion
-from .lattices import coflasque_resolution, counterexample_lattices, is_coflasque
+from .lattices import (_fixed_under, coflasque_resolution, counterexample_lattices,
+                       is_coflasque)
 
 
 def _check(name, expected, computed):
@@ -70,7 +72,7 @@ def cyclic_checks(m, seed=None):
 
 def battery_cyclic(orders=None):
     out = []
-    for m in (orders or range(2, 13)):
+    for m in (orders if orders is not None else range(2, 13)):
         out.extend(cyclic_checks(m))
     return out
 
@@ -112,7 +114,7 @@ def klein_checks(m):
 
 def battery_klein(ms=None):
     out = []
-    for m in (ms or range(1, 6)):
+    for m in (ms if ms is not None else range(1, 6)):
         out.extend(klein_checks(m))
     K = make_klein4()
     Mtriv = make_trivial(K, "F2")
@@ -146,7 +148,7 @@ def counterexample_checks(m):
 
 def battery_counterexample(ms=None):
     out = []
-    for m in (ms or range(2, 7)):
+    for m in (ms if ms is not None else range(2, 7)):
         out.extend(counterexample_checks(m))
     return out
 
@@ -162,8 +164,8 @@ def coflasque_checks(m):
            _check("m=%d rank(A^G)" % m, 2 * m + 1, data.A.fixed_dim())]
     for a in (1, 2, 3):
         H = G.generated_subgroup([a])
-        Ares, _, _ = _restrict_fixed(data.A, H)
-        out.append(_check("m=%d rank(A^H_%d)" % (m, a), 3 * m + 1, Ares))
+        out.append(_check("m=%d rank(A^H_%d)" % (m, a), 3 * m + 1,
+                          len(_fixed_under(data.A, H))))
     ok, wit = is_coflasque(data.A)
     out.append(_check_bool("m=%d A coflasque" % m, ok, repr(wit)))
     # kernel of P -> A
@@ -171,12 +173,6 @@ def coflasque_checks(m):
     ok2, wit2 = is_coflasque(kb)
     out.append(_check_bool("m=%d ker(P->A) coflasque" % m, ok2, repr(wit2)))
     return out
-
-
-def _restrict_fixed(M, subgroup):
-    from .lattices import _fixed_under
-    fixed = _fixed_under(M, subgroup)
-    return len(fixed), None, None
 
 
 def _kernel_module(P, Smat):
@@ -188,7 +184,7 @@ def _kernel_module(P, Smat):
 
 def battery_coflasque(ms=None):
     out = []
-    for m in (ms or range(2, 7)):
+    for m in (ms if ms is not None else range(2, 7)):
         out.extend(coflasque_checks(m))
     return out
 
@@ -244,7 +240,7 @@ def regularity_checks(m):
 
 def battery_regularity(ms=None):
     out = []
-    for m in (ms or range(2, 9)):
+    for m in (ms if ms is not None else range(2, 9)):
         out.extend(regularity_checks(m))
     # the trivial module gives a free Chow module: regularity zero
     K = make_klein4()
@@ -257,17 +253,6 @@ def battery_regularity(ms=None):
 
 # ---------------------------------------------------------------------------
 # transfer properties: cor o res, double cosets, generation
-
-
-def _module_for(G, M):
-    return {g: M.act(g) for g in G.generators}
-
-
-def _sub_cochain_module(module, sub):
-    H, embed = sub.as_group()
-    MH = GModule(H, module.ring, module.rank,
-                 {i: module.act(embed[i]) for i in H.generators}, check=False)
-    return H, embed, MH
 
 
 def _cocycle_basis(group, module, n):
@@ -295,12 +280,11 @@ def cor_res_checks(G, modules, max_degree=3):
             bc, cocycles = _cocycle_basis(G, M, n)
             cob = _coboundary_rows(bc, n, p)
             for sub in G.subgroups():
-                H, embed, MH = _sub_cochain_module(M, sub)
                 idx = sub.index
                 good = True
                 for z in cocycles:
-                    rz, _ = coh.restriction_cochain(G, M, sub, H, embed, z, n)
-                    cz = coh.corestriction_cochain(G, M, sub, H, embed, rz, n)
+                    rz = coh.restriction_cochain(G, M, sub, z, n)
+                    cz = coh.corestriction_cochain(G, M, sub, rz, n)
                     diff = (cz - idx * z) % p
                     if diff.any() and not fp.in_rowspan(cob, diff, p):
                         good = False
@@ -317,25 +301,18 @@ def _restrict_subgroup_cochain(G, module, big, small, f, n):
     Subgroup presentations sort elements by parent index, so the result is
     directly comparable to any other cochain over small's presentation.
     """
-    H, embedH = big.as_group()
+    MH, H, embedH = restrict(module, big)
     posH = {e: i for i, e in enumerate(embedH)}
-    MH = GModule(H, module.ring, module.rank,
-                 {i: module.act(embedH[i]) for i in H.generators}, check=False)
     small_in_H = H.subgroup([posH[e] for e in small.elements])
-    L, embedL = small_in_H.as_group()
-    out, _ = coh.restriction_cochain(H, MH, small_in_H, L, embedL, f, n)
-    return out
+    return coh.restriction_cochain(H, MH, small_in_H, f, n)
 
 
 def _corestrict_subgroup_cochain(G, module, big, small, f, n):
     """Transfer a cochain over small.as_group() up to big <= G."""
-    K, embedK = big.as_group()
+    MK, K, embedK = restrict(module, big)
     posK = {e: i for i, e in enumerate(embedK)}
-    MK = GModule(K, module.ring, module.rank,
-                 {i: module.act(embedK[i]) for i in K.generators}, check=False)
     small_in_K = K.subgroup([posK[e] for e in small.elements])
-    L, embedL = small_in_K.as_group()
-    return coh.corestriction_cochain(K, MK, small_in_K, L, embedL, f, n)
+    return coh.corestriction_cochain(K, MK, small_in_K, f, n)
 
 
 def double_coset_checks(G, modules, max_degree=2):
@@ -348,26 +325,25 @@ def double_coset_checks(G, modules, max_degree=2):
         p = M.p
         for n in range(1, max_degree + 1):
             for subH in G.subgroups():
-                H, embedH, MH = _sub_cochain_module(M, subH)
+                MH, H, _ = restrict(M, subH)
                 bcH = coh.BarComplex(H, MH)
                 dn = bcH.delta_matrix(n)
                 cocyclesH = fp.nullspace(dn, p)
                 for subK in G.subgroups():
-                    K, embedK, MK = _sub_cochain_module(M, subK)
+                    MK, K, _ = restrict(M, subK)
                     bcK = coh.BarComplex(K, MK)
                     cobK = _coboundary_rows(bcK, n, p)
                     good = True
                     for f in cocyclesH:
-                        corf = coh.corestriction_cochain(G, M, subH, H, embedH, f, n)
-                        lhs, _ = coh.restriction_cochain(G, M, subK, K, embedK,
-                                                         corf, n)
+                        corf = coh.corestriction_cochain(G, M, subH, f, n)
+                        lhs = coh.restriction_cochain(G, M, subK, corf, n)
                         rhs = np.zeros_like(lhs)
                         for g, inter in double_cosets(G, subK, subH):
                             # L = g^{-1} K g cap H, conjugate of the stored
                             # intersection K cap g H g^{-1}
                             L = inter.conjugate(G.inv(g))
                             fL = _restrict_subgroup_cochain(G, M, subH, L, f, n)
-                            cf, tgt, _, _ = coh.conjugation_cochain(G, M, L, g, fL, n)
+                            cf, tgt = coh.conjugation_cochain(G, M, L, g, fL, n)
                             rhs = rhs + _corestrict_subgroup_cochain(
                                 G, M, subK, tgt, cf, n)
                         diff = (lhs - rhs) % p
@@ -489,7 +465,8 @@ def _param_worker(args):
 
 def run_battery(tag, params=None, jobs=1):
     """Run one verification battery, optionally restricting the parameter
-    list and fanning the per-parameter tasks out to a process pool."""
+    list and fanning the per-parameter tasks out to a process pool of at
+    most min(jobs, parameter count, CPU count) workers."""
     if tag not in BATTERIES:
         raise ValueError("unknown battery %r; choose from %s"
                          % (tag, sorted(BATTERIES)))
@@ -497,7 +474,8 @@ def run_battery(tag, params=None, jobs=1):
         return BATTERIES[tag]()
     kw, task, default = PARAM_TASKS[tag]
     params = list(params) if params is not None else default
-    if jobs > 1 and len(params) > 1:
+    jobs = min(jobs, len(params), os.cpu_count() or 1)
+    if jobs > 1:
         import concurrent.futures
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             chunks = list(pool.map(_param_worker, [(tag, p) for p in params]))

@@ -83,6 +83,9 @@ def test_dual_and_direct_sum():
     assert D.apply(1, [1]) == [-1]
     B = S.direct_sum(gm.make_trivial(G))
     assert B.rank == 2 and B.fixed_dim() == 1
+    C = S.direct_sum(gm.make_trivial(G), gm.make_regular(G))
+    assert C.rank == 6 and C.fixed_dim() == 2
+    assert np.array_equal(C.act(1)[2:, 2:], gm.make_regular(G).act(1))
 
 
 def test_augmentation_ideal():
@@ -188,3 +191,62 @@ def test_finite_abelian_group():
     assert B == gm.FiniteAbelianGroup([2, 6])
     assert not B.is_trivial()
     assert gm.FiniteAbelianGroup([]).is_trivial()
+
+
+def test_random_unimodular_exact_inverse():
+    rng = random.Random(4)
+    for rank in (1, 2, 5, 9):
+        U, Uinv = gm._random_unimodular(rank, rng)
+        assert U.dtype == Uinv.dtype == np.int64
+        assert np.array_equal(U @ Uinv, np.eye(rank, dtype=np.int64))
+
+
+def _piece_lists(G, M, rng):
+    """Every (H, w) with w in a basis of M^H, plus seeded sublists whose
+    vectors are random integer combinations of fixed vectors."""
+    fixed = [(H, gm.restrict(M, H)[0].fixed_points()) for H in G.subgroups()]
+    full = [(H, w) for H, basis in fixed for w in basis]
+    yield full
+    for _ in range(3):
+        pieces = []
+        for H, basis in rng.sample(fixed, min(3, len(fixed))):
+            if basis:
+                coeffs = [rng.randint(-2, 2) for _ in basis]
+                pieces.append((H, sum(c * np.asarray(w) for c, w in zip(coeffs, basis))))
+        yield pieces
+
+
+def test_permutation_sum_is_equivariant():
+    """S P(g) = M(g) S (mod p) for every group family and every piece list."""
+    rng = random.Random(7)
+    groups = [make_cyclic(1), make_cyclic(4), make_cyclic(6), make_klein4(),
+              make_quaternion(3), make_quaternion(4)]
+    for G in groups:
+        modules = [gm.make_trivial(G), gm.make_trivial(G, "F2"),
+                   gm.make_augmentation_quotient(G)]
+        if G.order <= 8:
+            modules.append(gm.make_regular(G))
+        if len(G.generators) == 1 and G.order % 2 == 0:
+            modules.append(gm.make_sign_cyclic(G))
+        for M in modules:
+            for pieces in _piece_lists(G, M, rng):
+                P, S = gm.permutation_sum(M, pieces)
+                assert P.rank == sum(H.index for H, _ in pieces)
+                assert S.shape == (M.rank, P.rank)
+                for g in G.generators:
+                    diff = S @ P.act(g) - M.act(g) @ S
+                    if M.p:
+                        diff %= M.p
+                    assert not diff.any(), (G.name, M.name, g)
+
+
+def test_permutation_sum_of_trivial_subgroups_is_free():
+    G = make_quaternion(3)
+    M = gm.make_augmentation_quotient(G)
+    E = G.trivial_subgroup()
+    F, S = gm.permutation_sum(M, [(E, [1] + [0] * (M.rank - 1))] * 2)
+    R = gm.make_regular(G)
+    for g in G.generators:
+        assert np.array_equal(F.act(g), R.direct_sum(R).act(g))
+    assert [list(S[:, h]) for h in range(G.order)] == [list(M.apply(h, S[:, 0]))
+                                                       for h in range(G.order)]

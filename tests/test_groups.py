@@ -80,6 +80,11 @@ def test_as_group_roundtrip():
                 assert embed[H.mul(i, j)] == G.mul(embed[i], embed[j])
 
 
+def test_as_group_built_once_per_subgroup():
+    sub = make_quaternion(3).generated_subgroup([1])
+    assert sub.as_group() is sub.as_group()
+
+
 def test_as_group_small_generating_set():
     # even the full nonabelian subgroup must not fall back to "everything"
     G = make_quaternion(3)
