@@ -15,7 +15,7 @@ import numpy as np
 
 from . import cohomology as coh
 from . import f2, fp, intlin, kleinres
-from .errors import UnsupportedFamilyError
+from .errors import UnsupportedFamilyError, VerificationError
 from .gmodules import FiniteAbelianGroup, make_trivial, restrict
 from .groups import make_klein4
 from .lattices import coflasque_resolution, counterexample_lattices
@@ -127,10 +127,11 @@ class KleinChowModule:
         M = self.module
         n = 2 * i
         nbits = (n + 1) * M.rank
-        span = f2.F2Span(nbits)
+        cob_span = f2.F2Span(nbits)
         cob = kleinres.coboundary_rows(M, n)
         if len(cob):
-            span.add_matrix(f2.pack_rows(cob))
+            cob_span.add_matrix(f2.pack_rows(cob))
+        span = cob_span.copy()
         labels, basis = [], []
         for a in range(i + 1):
             b = i - a
@@ -140,10 +141,6 @@ class KleinChowModule:
                 if span.add(packed):
                     labels.append((a, b, k))
                     basis.append(packed)
-        # rebuild the coboundary-only span for class arithmetic
-        cob_span = f2.F2Span(nbits)
-        if len(cob):
-            cob_span.add_matrix(f2.pack_rows(cob))
         out = (cob_span, labels, basis)
         self._cache[i] = out
         return out
@@ -166,7 +163,8 @@ class KleinChowModule:
             na, nb = (a + 1, b) if var == 0 else (a, b + 1)
             z = kleinres.monomial_cocycle(M, self.fixed[k], 2 * na, 2 * nb)
             coeffs = f2.express_mod_span(cobs1, basis1, f2.pack_rows(z)[0])
-            assert coeffs is not None, "shifted class escaped the image span"
+            if coeffs is None:
+                raise VerificationError("shifted class escaped the image span")
             out[:, j] = coeffs
         return out
 
@@ -480,8 +478,10 @@ def transfer_generation_check(group, module, i):
         three = [group.generated_subgroup([1]), group.generated_subgroup([half]),
                  group.generated_subgroup([group.mul(1, half)])]
         space, cls3 = _transfer_classes_q(group, module, three)
-        _, cls_all = _transfer_classes_q(group, module, group.subgroups(),
-                                         space=space)
+        _, cls_rest = _transfer_classes_q(
+            group, module, [s for s in group.subgroups() if s not in three],
+            space=space)
+        cls_all = cls3 + cls_rest
         # span3 lies inside span_all, so equal orders mean equal subgroups
         span3 = _subgroup_structure(space, cls3).order
         span_all = _subgroup_structure(space, cls_all).order
@@ -510,13 +510,11 @@ def _klein_bar_transfer_check(group, module):
     triv = make_trivial(group, M.ring)
     x2 = coh.cup_with_trivial(group, triv, x1, 1, x1, 1)
     y2 = coh.cup_with_trivial(group, triv, y1, 1, y1, 1)
-    span_rows = [r for r in bc.delta_matrix(1).T % p]
+    d1 = bc.delta_matrix(1)
+    span = fp.Span(d1.shape[0], p, d1.T)
     for mu in (x2, y2):
         for m0 in M.fixed_points():
-            z = coh.cup_with_trivial(group, M, mu, 2, np.asarray(m0), 0)
-            span_rows.append(z)
-    span = np.array(span_rows, dtype=np.int64)
-    base = fp.rank(span, p)
+            span.add(coh.cup_with_trivial(group, M, mu, 2, np.asarray(m0), 0))
     # transfers from the three order-2 subgroups of chern cup fixed vectors
     for a in (1, 2, 3):
         sub = group.generated_subgroup([a])
@@ -531,6 +529,6 @@ def _klein_bar_transfer_check(group, module):
             for idx in range(len(bcH.tuples(2))):
                 z[idx * M.rank:(idx + 1) * M.rank] = cH2[idx] * np.asarray(m0)
             cz = coh.corestriction_cochain(group, M, sub, z, 2)
-            if not fp.in_rowspan(span, cz % p, p):
+            if not span.contains(cz):
                 return False
     return True

@@ -19,7 +19,7 @@ import sys
 from . import chow, graded, verify
 from . import cohomology as coh
 from .errors import (ChowtwistError, HorizonError, ResourceCapError,
-                     SizePolicyError, UnsupportedFamilyError)
+                     SizePolicyError, UnsupportedFamilyError, VerificationError)
 from .gmodules import (GModule, l_zeta_klein, make_augmentation_quotient,
                        make_omega2_trivial, make_permutation, make_regular,
                        make_sign_cyclic, make_trivial, omega_klein,
@@ -400,6 +400,9 @@ def main(argv=None):
     except UnsupportedFamilyError as exc:
         sys.stderr.write("unsupported family: %s\n" % exc)
         return EXIT_FAMILY
+    except VerificationError as exc:
+        sys.stderr.write("verification failed: %s\n" % exc)
+        return EXIT_MISMATCH
     except (ParseError, SizePolicyError, HorizonError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_PARSE

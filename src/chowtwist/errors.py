@@ -20,6 +20,10 @@ class ResourceCapError(ChowtwistError):
         self.cells = cells
 
 
+class VerificationError(ChowtwistError):
+    """Raised when a computed object fails one of its own consistency checks."""
+
+
 class UnsupportedFamilyError(ChowtwistError):
     """Raised when a closed-form routine is asked about a group it does not cover."""
 

@@ -95,6 +95,13 @@ class F2Span:
     def contains(self, row):
         return not self.residual(row).any()
 
+    def copy(self):
+        """An independent span with the same rows.  Nothing writes into a
+        stored row after add or add_matrix returns, so the rows are shared."""
+        out = F2Span(self.n_bits)
+        out.pivots = dict(self.pivots)
+        return out
+
     def add(self, row):
         """Add one vector; returns True if the span grew."""
         v = self.residual(row)
@@ -107,12 +114,6 @@ class F2Span:
                 self.pivots[b] = prow ^ v
         self.pivots[bit] = v
         return True
-
-
-def rank_packed(rows, n_bits):
-    span = F2Span(n_bits)
-    span.add_matrix(rows)
-    return span.rank
 
 
 def express_mod_span(span, basis_rows, target):

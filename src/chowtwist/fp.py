@@ -80,6 +80,50 @@ def solve(a, b, p):
     return X[:, 0] if single else X
 
 
-def in_rowspan(rows, vec, p):
-    base = rank(rows, p)
-    return rank(np.vstack([asmod(rows, p), asmod(vec, p).reshape(1, -1)]), p) == base
+class Span:
+    """Row span over F_p with incremental adds; the dense counterpart of
+    f2.F2Span.
+
+    The rows are kept fully reduced: each has a leading 1 at its pivot
+    column and zeros at every other pivot column, so reducing a vector is
+    one product with the stacked rows and basis() is the RREF of all rows
+    added so far.
+    """
+
+    def __init__(self, n, p, rows=()):
+        self.n = n
+        self.p = p
+        self.cols = []  # pivot column of each stored row
+        self.rows = np.zeros((0, n), dtype=np.int64)
+        for row in rows:
+            self.add(row)
+
+    @property
+    def rank(self):
+        return len(self.cols)
+
+    def residual(self, row):
+        """Reduce a vector by the span; zero iff the vector is in it."""
+        v = asmod(row, self.p)
+        return (v - v[self.cols] @ self.rows) % self.p
+
+    def contains(self, row):
+        return not self.residual(row).any()
+
+    def add(self, row):
+        """Add one vector; returns True if the span grew."""
+        v = self.residual(row)
+        nz = np.flatnonzero(v)
+        if nz.size == 0:
+            return False
+        col = int(nz[0])
+        v = (v * _inv_mod(v[col], self.p)) % self.p
+        # keep the stored rows reduced at the new pivot column
+        self.rows = (self.rows - np.outer(self.rows[:, col], v)) % self.p
+        self.rows = np.vstack([self.rows, v])
+        self.cols.append(col)
+        return True
+
+    def basis(self):
+        """The rows sorted by pivot column: rref(rows)[0][:rank]."""
+        return self.rows[np.argsort(self.cols, kind="stable")]

@@ -14,7 +14,7 @@ import random
 import numpy as np
 
 from . import fp, intlin, kleinres
-from .errors import SizePolicyError
+from .errors import SizePolicyError, VerificationError
 from .groups import make_klein4
 
 RING_Z = "Z"
@@ -438,23 +438,10 @@ def _module_generators_z(M):
 
 def _radical_complement_basis(M):
     """Lift of a basis of M / rad(M), rad generated by (g-1)M over generators."""
-    p = M.p
-    rad_rows = np.vstack([
-        (M.act(g) - np.eye(M.rank, dtype=np.int64)).T % p for g in M.group.generators
-    ]) if M.rank else np.zeros((0, 0), dtype=np.int64)
-    span = fp.rref(rad_rows, p)[0][: fp.rank(rad_rows, p)] if M.rank else rad_rows
-    gens = []
-    rows = [r for r in span]
-    base = len(rows)
-    for j in range(M.rank):
-        e = np.zeros(M.rank, dtype=np.int64)
-        e[j] = 1
-        cand = np.vstack(rows + [e]) if rows else e.reshape(1, -1)
-        if fp.rank(cand, p) > base:
-            gens.append(list(e))
-            rows.append(e)
-            base += 1
-    return gens
+    eye = np.eye(M.rank, dtype=np.int64)
+    span = fp.Span(M.rank, M.p, [row for g in M.group.generators
+                                 for row in (M.act(g) - eye).T])
+    return [list(e) for e in eye if span.add(e)]
 
 
 def permutation_sum(M, pieces, ring=RING_Z, name="P"):
@@ -620,18 +607,12 @@ def l_zeta_klein(zeta, n):
             f[4 * s: 4 * (s + 1)] = 1  # augmentation on the group-algebra block
     # f must kill the next differential (cocycle condition)
     Dnext = kleinres.resolution_differential(G, n + 1)
-    assert not ((f @ Dnext) % 2).any(), "representative is not a cocycle"
+    if ((f @ Dnext) % 2).any():
+        raise VerificationError("representative is not a cocycle")
     # Omega^n = image of D inside P_{n-1}; induced functional via preimages
-    pivot_idx = []
-    span_rows = []
-    base = 0
-    for j in range(D.shape[1]):
-        cand = span_rows + [D[:, j]]
-        if fp.rank(np.vstack(cand), 2) > base:
-            span_rows.append(D[:, j])
-            pivot_idx.append(j)
-            base += 1
-    B = np.vstack(span_rows)  # rows: basis of Omega^n in P_{n-1} coords
+    span = fp.Span(D.shape[0], 2)
+    pivot_idx = [j for j in range(D.shape[1]) if span.add(D[:, j])]
+    B = D[:, pivot_idx].T  # rows: basis of Omega^n in P_{n-1} coords
     fhat = np.array([f[j] for j in pivot_idx], dtype=np.int64)
     # kernel of fhat in the basis coordinates
     ker_coords = fp.nullspace(fhat.reshape(1, -1), 2)

@@ -134,12 +134,7 @@ class GradedModulePresentation:
                 rows.extend((sv @ w) % self.p for w in prev)
         rows.extend(np.asarray(vec, dtype=np.int64) for rd, vec in self.relations
                     if rd == d)
-        if not rows:
-            out = np.zeros((0, self.free.dim(d)), dtype=np.int64)
-        else:
-            mat = np.array(rows, dtype=np.int64)
-            r = fp.rank(mat, self.p)
-            out = fp.rref(mat, self.p)[0][:r]
+        out = fp.Span(self.free.dim(d), self.p, rows).basis()
         self._rel_cache[d] = out
         return out
 
@@ -176,21 +171,6 @@ class GradedModulePresentation:
                 "dims": self.dims}
 
 
-def _new_generators(p, span_rows, candidates):
-    """Greedy choice of candidate rows extending the span; returns indices."""
-    rows = [r for r in span_rows]
-    base = fp.rank(np.array(rows, dtype=np.int64), p) if rows else 0
-    picked = []
-    for idx, c in enumerate(candidates):
-        trial = np.array(rows + [c], dtype=np.int64)
-        r = fp.rank(trial, p)
-        if r > base:
-            rows.append(c)
-            base = r
-            picked.append(idx)
-    return picked
-
-
 def present_from_action(dims, u_maps, v_maps, p=2, name=None):
     """Minimal presentation of a graded module given per-degree dimensions
     and the two degree-raising multiplication maps.
@@ -207,16 +187,13 @@ def present_from_action(dims, u_maps, v_maps, p=2, name=None):
 
     gen_degrees, gen_vectors = [], []
     for d in range(D + 1):
-        span = []
-        if d > 0 and dims[d - 1]:
-            eye = np.eye(dims[d - 1], dtype=np.int64)
-            span.extend((u_maps[d - 1] @ eye[:, j]) % p for j in range(dims[d - 1]))
-            span.extend((v_maps[d - 1] @ eye[:, j]) % p for j in range(dims[d - 1]))
-        cands = [np.eye(dims[d], dtype=np.int64)[:, j] for j in range(dims[d])]
-        for j in _new_generators(p, span, cands):
-            gen_degrees.append(d)
-            gen_vectors.append([int(x) for x in cands[j]])
-            span.append(cands[j])
+        # u and v images of the previous slice: columns of the two maps
+        span = fp.Span(dims[d], p, np.vstack([u_maps[d - 1].T, v_maps[d - 1].T])
+                       if d > 0 and dims[d - 1] else ())
+        for e in np.eye(dims[d], dtype=np.int64):
+            if span.add(e):
+                gen_degrees.append(d)
+                gen_vectors.append([int(x) for x in e])
 
     pres = GradedModulePresentation(p, dims, u_maps, v_maps, gen_degrees,
                                     gen_vectors, [], name=name)
@@ -237,15 +214,14 @@ def _minimal_kernel_generators(p, free, eval_fn, D):
     for d in range(D + 1):
         E = eval_fn(d)
         ker = fp.nullspace(E, p)  # rows spanning ker_d
-        span = []
+        span = fp.Span(free.dim(d), p)
         if prev_kernel is not None and len(prev_kernel):
-            su = free.shift(d - 1, 0)
-            sv = free.shift(d - 1, 1)
-            span.extend((su @ w) % p for w in prev_kernel)
-            span.extend((sv @ w) % p for w in prev_kernel)
+            for var in (0, 1):
+                shift = free.shift(d - 1, var)
+                for w in prev_kernel:
+                    span.add(shift @ w)
         cands = [np.asarray(w, dtype=np.int64) for w in ker]
-        for j in _new_generators(p, span, cands):
-            gens.append((d, [int(x) for x in cands[j]]))
+        gens.extend((d, [int(x) for x in c]) for c in cands if span.add(c))
         prev_kernel = cands
     return gens
 

@@ -151,14 +151,6 @@ class ColumnEchelon:
             raise ValueError("echelon built without track_inverse")
         return mat_vec(self.Vinv, x)
 
-    def kernel_coords(self, x):
-        """Coordinates of x in the kernel basis; x must satisfy A x = 0."""
-        c = self.coords(x)
-        for r, p in self.pivots:
-            if c[p] != 0:
-                raise ValueError("vector is not in the kernel")
-        return [c[j] for j in self.kernel_cols]
-
 
 def kernel_basis(rows):
     """Saturated integer kernel basis of a matrix (list of vectors)."""

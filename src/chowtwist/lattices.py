@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import fp, intlin
-from .errors import SizePolicyError
+from .errors import SizePolicyError, VerificationError
 from .gmodules import (FiniteAbelianGroup, _submodule_from_kernel,
                        omega_negative_klein, permutation_sum)
 from .groups import make_klein4
@@ -68,20 +68,24 @@ class CoflasqueResolution:
         self.q_basis = q_basis
 
     def check(self):
-        """Assert exactness, fixed-point surjectivity and coflasqueness."""
+        """Check exactness, fixed-point surjectivity and coflasqueness;
+        raises VerificationError on the first failure."""
         M, P, S = self.module, self.P, self.surjection
         # composite Q -> P -> M vanishes
         for qv in self.q_basis:
             img = S @ np.asarray(qv, dtype=np.int64)
             if M.p:
                 img %= M.p
-            assert not img.any(), "kernel basis not killed by the surjection"
+            if img.any():
+                raise VerificationError("kernel basis not killed by the surjection")
         # surjectivity of P -> M and of P^H -> M^H for every subgroup
         for Ssub in M.group.subgroups():
-            assert fixed_surjective(P, M, S, Ssub), (
-                "fixed points not surjective for subgroup of order %d" % Ssub.order)
+            if not fixed_surjective(P, M, S, Ssub):
+                raise VerificationError(
+                    "fixed points not surjective for subgroup of order %d" % Ssub.order)
         ok, witness = is_coflasque(self.Q)
-        assert ok, "kernel is not coflasque: %r" % (witness,)
+        if not ok:
+            raise VerificationError("kernel is not coflasque: %r" % (witness,))
         return True
 
 
@@ -91,16 +95,9 @@ def fixed_surjective(P, M, S, subgroup):
     fixM = _fixed_under(M, subgroup)
     if not fixM:
         return True
-    images = [S @ np.asarray(v, dtype=np.int64) for v in fixP]
-    if M.p:
-        rows = np.array(images, dtype=np.int64).reshape(len(images), -1) % M.p
-        for w in fixM:
-            if not fp.in_rowspan(rows, np.asarray(w), M.p):
-                return False
-        return True
-    lat = intlin.IntLattice(M.rank)
-    for v in images:
-        lat.add([int(x) for x in v])
+    lat = fp.Span(M.rank, M.p) if M.p else intlin.IntLattice(M.rank)
+    for v in fixP:
+        lat.add([int(x) for x in S @ np.asarray(v, dtype=np.int64)])
     return all(lat.contains([int(x) for x in w]) for w in fixM)
 
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from chowtwist import chow
+from chowtwist import chow, f2
+from chowtwist import cohomology as coh
 from chowtwist import gmodules as gm
 from chowtwist.errors import UnsupportedFamilyError
 from chowtwist.groups import make_cyclic, make_klein4, make_quaternion
@@ -128,6 +129,38 @@ def test_transfer_generation():
     assert chow.transfer_generation_check(K, gm.make_trivial(K, "F2"), 1)
     Q = make_quaternion(3)
     assert chow.transfer_generation_check(Q, gm.make_omega2_trivial(Q), 1)
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_klein_degree_data_adds_coboundaries_once(monkeypatch):
+    calls = _count_calls(monkeypatch, f2.F2Span, "add_matrix")
+    km = chow.KleinChowModule(gm.omega_negative_klein(4))
+    assert (km.dim(1), km.dim(2)) == (7, 9)
+    # u shifts the degree-1 basis down two slots, v keeps it in place
+    assert np.array_equal(km.multiplication_matrix(1, 0), np.eye(9, 7, k=-2))
+    assert np.array_equal(km.multiplication_matrix(1, 1), np.eye(9, 7))
+    assert len(calls) == 2  # one coboundary span per degree
+
+
+def test_quaternion_transfer_check_corestricts_once(monkeypatch):
+    calls = _count_calls(monkeypatch, coh, "corestriction_cochain")
+    Q = make_quaternion(3)
+    M = gm.make_omega2_trivial(Q)
+    report = chow.transfer_generation_check(Q, M, 1)
+    assert report == {"group": "Q8", "module": M.name, "degree": 1,
+                      "generated": True, "span3": 4, "span_all": 4}
+    assert len(calls) == 38  # 27 from the three index-2 subgroups, 11 more
 
 
 def test_result_json_shape():

@@ -133,6 +133,19 @@ def test_resource_cap_exit_3(capsys, monkeypatch):
     assert code == cli.EXIT_CAP
 
 
+def test_verification_error_exit_1(capsys, monkeypatch):
+    from chowtwist import lattices
+    from chowtwist.errors import VerificationError
+
+    def fail(self):
+        raise VerificationError("tampered")
+
+    monkeypatch.setattr(lattices.CoflasqueResolution, "check", fail)
+    code = cli.main(["coflasque", "--group", "C4", "--module", "sign", "--resolve"])
+    assert code == cli.EXIT_MISMATCH
+    assert "verification failed: tampered" in capsys.readouterr().err
+
+
 def test_unsupported_family_exit_4(tmp_path, capsys):
     import itertools
 

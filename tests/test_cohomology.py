@@ -151,7 +151,7 @@ def test_cor_res_is_multiplication_by_index():
         # index 2 kills everything mod 2: back must be a coboundary
         diff = (back - 0 * z) % 2
         rows = bc.delta_matrix(n - 1)
-        assert fp.in_rowspan(rows.T, diff, 2)
+        assert fp.Span(len(diff), 2, rows.T).contains(diff)
 
 
 def test_subgroup_generated():

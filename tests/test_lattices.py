@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from chowtwist import gmodules as gm
@@ -52,6 +56,52 @@ def test_resolution_of_fp_module():
     assert res.check()
     # the preimage lattice of 0 mod p has full permutation rank
     assert res.Q.rank == res.P.rank
+
+
+def test_fixed_surjective_f2():
+    G = make_klein4()
+    M = gm.make_trivial(G, "F2")
+    P = gm.make_regular(G, "F2")
+    full, trivial = G.full_subgroup(), G.trivial_subgroup()
+    S = np.ones((1, 4), dtype=np.int64)  # augmentation
+    assert lat.fixed_surjective(P, M, S, trivial)
+    # the norm element, which spans P^G, augments to 4 = 0 mod 2
+    assert not lat.fixed_surjective(P, M, S, full)
+    assert not lat.fixed_surjective(P, M, np.zeros((1, 4), dtype=np.int64), trivial)
+
+
+def test_fixed_surjective_z():
+    G = make_cyclic(2)
+    M = gm.make_trivial(G)
+    P = gm.make_regular(G)
+    full, trivial = G.full_subgroup(), G.trivial_subgroup()
+    S = np.ones((1, 2), dtype=np.int64)
+    assert lat.fixed_surjective(P, M, S, trivial)
+    # P^G is spanned by the norm element, which augments to 2: index 2 in Z
+    assert not lat.fixed_surjective(P, M, S, full)
+    assert lat.fixed_surjective(M, M, np.array([[-1]]), full)
+
+
+def test_resolution_check_survives_optimize():
+    # the checks raise VerificationError, which python -O does not strip
+    code = (
+        "from chowtwist import gmodules as gm, lattices as lat\n"
+        "from chowtwist.errors import VerificationError\n"
+        "from chowtwist.groups import make_cyclic\n"
+        "res = lat.coflasque_resolution(gm.make_sign_cyclic(make_cyclic(4)))\n"
+        "res.surjection = res.surjection.copy()\n"
+        "res.surjection[0, 0] += 1\n"
+        "try:\n"
+        "    res.check()\n"
+        "except VerificationError as exc:\n"
+        "    print('raised:', exc)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("raised: kernel basis not killed"), out.stdout
 
 
 def test_resolution_pruning_never_grows():

@@ -109,7 +109,7 @@ def test_f2_span_matches_dense_rank():
         n = rng.randint(1, 100)
         M = np.array([[rng.randrange(2) for _ in range(n)]
                       for _ in range(rng.randint(1, 30))], dtype=np.int64)
-        assert f2.rank_packed(f2.pack_rows(M), n) == fp.rank(M, 2)
+        assert f2.F2Span(n, f2.pack_rows(M)).rank == fp.rank(M, 2)
 
 
 def test_f2_span_incremental_add():
@@ -146,3 +146,27 @@ def test_xgcd():
         g, x, y = intlin.xgcd(a, b)
         assert g == x * a + y * b
         assert g >= 0
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_fp_span_matches_rref(p):
+    rng = random.Random(100 + p)
+    for _ in range(40):
+        n = rng.randint(0, 12)
+        span = fp.Span(n, p)
+        rows = np.zeros((0, n), dtype=np.int64)
+        for _ in range(rng.randint(1, 15)):
+            # sparse rows so that dependent ones come up often
+            v = np.array([rng.randrange(p) if rng.random() < 0.5 else 0
+                          for _ in range(n)], dtype=np.int64)
+            before = span.rank
+            grew = span.add(v)
+            rows = np.vstack([rows, v])
+            r = fp.rank(rows, p)
+            assert span.rank == r
+            assert grew == (r > before)
+            assert span.contains(v) and span.contains((p - 1) * v - p)
+            w = np.array([rng.randrange(p) for _ in range(n)], dtype=np.int64)
+            assert span.contains(w) == (fp.rank(np.vstack([rows, w]), p) == r)
+            assert np.array_equal(span.basis(), fp.rref(rows, p)[0][:r])
+        assert np.array_equal(fp.Span(n, p, rows).basis(), span.basis())
