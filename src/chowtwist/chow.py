@@ -33,9 +33,9 @@ class TwistedChowResult:
         self.basis = basis
         self.group_name = group_name
         self.module_name = module_name
-        if cross_check is not None:
-            assert self._values_agree(value, cross_check), (
-                "method value %r disagrees with oracle %r" % (value, cross_check))
+        if cross_check is not None and not self._values_agree(value, cross_check):
+            raise VerificationError("method value %r disagrees with oracle %r"
+                                    % (value, cross_check))
 
     @staticmethod
     def _values_agree(a, b):
@@ -215,13 +215,10 @@ def _subgroup_structure(space, classes):
     mods = space.factors
     if k == 0 or not mods:
         return FiniteAbelianGroup([], 0)
-    rows = [[classes[j][t] for j in range(k)] + [mods[t] if c == t else 0
-                                                for c in range(len(mods))]
-            for t in range(len(mods))]
-    ker = intlin.kernel_basis(rows)
-    cols = [v[:k] for v in ker]
-    free, factors, _ = intlin.quotient_structure(k, cols)
-    assert free == 0
+    rows = [[classes[j][t] for j in range(k)] for t in range(len(mods))]
+    free, factors = intlin.quotient_structure(k, intlin.kernel_mod(rows, mods))
+    if free:
+        raise VerificationError("evaluation kernel has corank %d, not 0" % free)
     return FiniteAbelianGroup(factors, 0)
 
 
@@ -370,7 +367,8 @@ def _double_coset_coefficients(G, K, H, block):
             orbit.add(coset_of_H[G.mul(k, t)])
         seen |= orbit
         vals = {int(block[jj, 0]) for jj in orbit}
-        assert len(vals) == 1, "map is not equivariant on a K-orbit"
+        if len(vals) != 1:
+            raise VerificationError("map is not equivariant on a K-orbit")
         coeffs.append(vals.pop())
     return coeffs
 
@@ -421,7 +419,8 @@ def twisted_motivic_klein(module, i, resolutions=None):
     coker = total_t - fp.rank(mat, 2) if total_t else 0
     chow = twisted_chow_klein(module, i).value if module.p == 2 else None
     if chow is not None and i > 0:
-        assert coker >= chow, "motivic value smaller than the Chow image"
+        if coker < chow:
+            raise VerificationError("motivic value smaller than the Chow image")
     return TwistedChowResult(i, coker, "motivic_pipeline", cross_check=None,
                              group_name="Klein4", module_name=module.name)
 

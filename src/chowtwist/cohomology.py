@@ -7,10 +7,14 @@ lexicographically in the non-identity element list.  Tuples containing the
 identity are not part of the basis; evaluation on them returns zero, which
 is what normalization means.
 
-Integral H^n for n > 0 is finite (killed by |G|), so its structure equals
-the torsion of coker(delta_{n-1}), i.e. the nontrivial invariant factors of
-the (n-1)-st coboundary matrix; the kernel of delta_n never has to be
-echelonized.  The same argument gives H_n from the (n+1)-st boundary matrix.
+The bar cochains and chains splice, through the trace, into the complete
+complex whose cohomology is Tate cohomology (Brown, Cohomology of Groups,
+VI.3).  Every Tate group is finite (killed by |G|), so over Z it equals the
+torsion of the cokernel of the map into its degree, i.e. the nontrivial
+invariant factors of that matrix; the map out never has to be built.  H^n
+and H_n for n > 0 are Tate groups; H^0 and H_0 are the ones with a free part.
+The 2-periodic resolution of a cyclic group and the Klein resolution in
+kleinres go through the same ker/im routine.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import fp, intlin
-from .errors import ResourceCapError
+from .errors import ResourceCapError, VerificationError
 from .gmodules import FiniteAbelianGroup, make_trivial, restrict
 
 DEFAULT_MAX_CELLS = 10 ** 6
@@ -37,7 +41,8 @@ class BarComplex:
     """Normalized bar cochain/chain complex for a group and coefficient module."""
 
     def __init__(self, group, module):
-        assert module.group is group or module.group.order == group.order
+        if module.group is not group and module.group.order != group.order:
+            raise ValueError("module is over a group of another order")
         self.group = group
         self.module = module
         self.nonid = [g for g in range(group.order) if g != group.identity]
@@ -111,6 +116,29 @@ class BarComplex:
         self._delta_cache[n] = D
         return D
 
+    def complete_map(self, i):
+        """d^i : C^i -> C^{i+1} of the complete complex, whose degree i >= 0
+        holds the bar cochains C^i and degree i < 0 the chains C_{-1-i}:
+        the coboundary for i >= 0, the trace at -1, the boundary below.
+
+        delta_0 and d_1 are stacks of rank-sized blocks; they are built
+        here, outside the cap, so that Tate degrees 0 and -1 need none.
+        """
+        if i >= 1:
+            return self.delta_matrix(i)
+        if i <= -3:
+            return self.boundary_matrix(-1 - i)
+        M, r = self.module, self.r
+        if i == -1:
+            return M.trace_matrix()
+        eye = np.eye(r, dtype=np.int64)
+        if i == 0:  # m -> (g m - m)_g
+            return np.vstack([np.zeros((0, r), dtype=np.int64)]
+                             + [M.act(g) - eye for g in self.nonid])
+        # (m_g)_g -> sum_g (g^-1 m_g - m_g)
+        return np.hstack([np.zeros((r, 0), dtype=np.int64)]
+                         + [M.act(self.group.inv(g)) - eye for g in self.nonid])
+
     def boundary_matrix(self, n):
         """Matrix of the homology boundary d_n : C_n -> C_{n-1} for
         M tensored over the group ring with the bar resolution.
@@ -177,155 +205,82 @@ class CohomologyResult:
         return out
 
 
+def _finite_homology(degree, module, dim, d_in, d_out):
+    """ker(d_out)/im(d_in) at a degree where that group is finite.
+
+    d_in and d_out build the maps into and out of the degree (None for a
+    zero map).  Over F_p the dimension is dim - rank - rank.  Over Z the
+    group is the torsion of coker(d_in), so d_out is never built.
+    """
+    if module.p:
+        ranks = [fp.rank(d(), module.p) for d in (d_out, d_in) if d is not None]
+        return CohomologyResult(degree, module.ring, dim=dim - sum(ranks))
+    factors = []
+    if d_in is not None:
+        factors, _ = intlin.invariant_factors([[int(x) for x in r] for r in d_in()])
+    return CohomologyResult(degree, "Z", structure=FiniteAbelianGroup(factors, 0))
+
+
 def bar_cohomology(group, module, n):
     """H^n(G, M) from the normalized bar resolution."""
-    bc = BarComplex(group, module)
-    bc.check_cap(n)
+    if n > 0:
+        return tate(group, module, n)
+    if n < 0:
+        raise ValueError("cohomology degrees must be >= 0 (use tate for negatives)")
+    BarComplex(group, module).check_cap(n)
     if module.p:
-        if n == 0:
-            return CohomologyResult(0, module.ring, dim=module.fixed_dim())
-        dn = bc.delta_matrix(n)
-        dprev = bc.delta_matrix(n - 1)
-        dim = bc.dim(n) - fp.rank(dn, module.p) - fp.rank(dprev, module.p)
-        return CohomologyResult(n, module.ring, dim=dim)
-    if n == 0:
-        return CohomologyResult(0, "Z", structure=FiniteAbelianGroup([], module.fixed_dim()))
-    dprev = bc.delta_matrix(n - 1)
-    factors, _ = intlin.invariant_factors([[int(x) for x in r] for r in dprev])
-    return CohomologyResult(n, "Z", structure=FiniteAbelianGroup(factors, 0))
+        return CohomologyResult(0, module.ring, dim=module.fixed_dim())
+    return CohomologyResult(0, "Z", structure=FiniteAbelianGroup([], module.fixed_dim()))
 
 
 def bar_homology(group, module, n):
-    """H_n(G, M) from the normalized bar resolution."""
-    bc = BarComplex(group, module)
-    if n == 0:
-        # M_G = M / span{(g-1)m}; over Z full structure, over F_p dimension
-        G = group
-        stacked_cols = []
-        for g in range(G.order):
-            A = module.act(g) - np.eye(module.rank, dtype=np.int64)
-            for j in range(module.rank):
-                stacked_cols.append([int(x) for x in A[:, j]])
-        if module.p:
-            rows = np.array(stacked_cols, dtype=np.int64).reshape(-1, module.rank)
-            dim = module.rank - fp.rank(rows, module.p)
-            return CohomologyResult(0, module.ring, dim=dim)
-        free, factors, _ = intlin.quotient_structure(module.rank, stacked_cols)
-        return CohomologyResult(0, "Z", structure=FiniteAbelianGroup(factors, free))
-    bc.check_cap(n + 1)
-    dnext = bc.boundary_matrix(n + 1)
+    """H_n(G, M) from the normalized bar resolution: Tate degree -1-n for
+    n > 0, and the coinvariants M_G = coker d_1 at n = 0."""
+    if n > 0:
+        return tate(group, module, -1 - n)
+    if n < 0:
+        raise ValueError("homology degrees must be >= 0")
+    d1 = BarComplex(group, module).complete_map(-2)
     if module.p:
-        dn = bc.boundary_matrix(n)
-        dim = bc.dim(n) - fp.rank(dn.T, module.p) - fp.rank(dnext.T, module.p)
-        return CohomologyResult(n, module.ring, dim=dim)
-    factors, _ = intlin.invariant_factors([[int(x) for x in r] for r in dnext])
-    return CohomologyResult(n, "Z", structure=FiniteAbelianGroup(factors, 0))
-
-
-def _kernel_mod_image_z(T_basis, image_cols, rank):
-    """Structure of (lattice with basis T_basis) / (lattice gen by image_cols)."""
-    k = len(T_basis)
-    if k == 0:
-        return FiniteAbelianGroup([], 0)
-    cols = intlin.lattice_coords(T_basis, image_cols, rank)
-    free, factors, _ = intlin.quotient_structure(k, cols)
-    return FiniteAbelianGroup(factors, free)
-
-
-def tate_minus_one(group, module):
-    """Tate group in degree -1: ker(induced trace M_G -> M^G)."""
-    M = module
-    tr = M.trace_matrix()
-    aug_cols = []
-    for g in range(group.order):
-        A = M.act(g) - np.eye(M.rank, dtype=np.int64)
-        for j in range(M.rank):
-            aug_cols.append([int(x) for x in A[:, j]])
-    if M.p:
-        T = fp.nullspace(tr, M.p)
-        R = np.array(aug_cols, dtype=np.int64)
-        dim = (len(T) if len(T) else 0) - fp.rank(R, M.p)
-        return CohomologyResult(-1, M.ring, dim=dim)
-    T = intlin.kernel_basis([[int(x) for x in r] for r in tr])
-    return CohomologyResult(-1, "Z", structure=_kernel_mod_image_z(T, aug_cols, M.rank))
+        return CohomologyResult(0, module.ring, dim=module.rank - fp.rank(d1, module.p))
+    factors, rank = intlin.invariant_factors([[int(x) for x in r] for r in d1])
+    return CohomologyResult(0, "Z", structure=FiniteAbelianGroup(factors, module.rank - rank))
 
 
 def tate(group, module, i):
-    """Tate cohomology in any degree: positive via cochains, zero via the
-    trace quotient, -1 via the norm kernel, below that via homology."""
+    """Tate cohomology in any degree from the complete bar complex.
+
+    A degree below -1 is the homology H_{-1-i} and is labelled with that
+    degree, as bar_homology labels it.
+    """
+    bc = BarComplex(group, module)
     if i > 0:
-        return bar_cohomology(group, module, i)
-    if i == 0:
-        st = module.trace_quotient()
-        if module.p:
-            return CohomologyResult(0, module.ring, dim=len(st.invariant_factors))
-        return CohomologyResult(0, "Z", structure=st)
-    if i == -1:
-        return tate_minus_one(group, module)
-    return bar_homology(group, module, -1 - i)
+        bc.check_cap(i)
+    elif i < -1:
+        bc.check_cap(-i)
+    k = i if i >= 0 else -1 - i  # bar degree of the (co)chains in Tate degree i
+    return _finite_homology(i if i >= -1 else k, module, bc.dim(k),
+                            lambda: bc.complete_map(i - 1), lambda: bc.complete_map(i))
 
 
-def cyclic_cohomology(group, module, n, modulus=None):
+def cyclic_cohomology(group, module, n):
     """H^n for a cyclic group from the 2-periodic resolution.
 
-    The resolution alternates multiplication by sigma - 1 and by the trace;
-    H^0 = M^G, H^{2i} = M^G/tr(M), H^{2i+1} = ker(tr)/im(sigma-1).  With a
-    modulus k the coefficients are M/kM (k need not be prime).
+    The cochain maps alternate S = sigma - 1 (out of even degrees) and the
+    trace (out of odd ones); H^0 = M^G is the one group with a free part.
     """
     if len(group.generators) != 1 and group.order > 1:
         raise ValueError("periodic resolution needs a cyclic group")
     M = module
-    sigma = group.generators[0]
-    S = M.act(sigma) - np.eye(M.rank, dtype=np.int64)
-    tr = M.trace_matrix()
-    if modulus is not None:
-        assert M.p is None
-        return _cyclic_cohomology_mod(M, S, tr, n, modulus)
-    if M.p:
-        S %= M.p
-        tr %= M.p
-        if n == 0:
-            dim = M.rank - fp.rank(S, M.p)
-        elif n % 2 == 0:
-            dim = (M.rank - fp.rank(S, M.p)) - fp.rank(tr, M.p)
-        else:
-            dim = (M.rank - fp.rank(tr, M.p)) - fp.rank(S, M.p)
-        return CohomologyResult(n, M.ring, dim=dim)
-    if n == 0:
+    if n == 0 and not M.p:
         return CohomologyResult(0, "Z", structure=FiniteAbelianGroup([], M.fixed_dim()))
-    if n % 2 == 0:
-        return CohomologyResult(n, "Z", structure=M.trace_quotient())
-    T = intlin.kernel_basis([[int(x) for x in r] for r in tr])
-    img = [[int(x) for x in S[:, j]] for j in range(M.rank)]
-    return CohomologyResult(n, "Z", structure=_kernel_mod_image_z(T, img, M.rank))
+    S = M.act(group.generators[0]) - np.eye(M.rank, dtype=np.int64)
 
+    def d(k):
+        return M.trace_matrix() if k % 2 else S
 
-def _cyclic_cohomology_mod(M, S, tr, n, k):
-    """Periodic-resolution cohomology with coefficients M/kM."""
-    r = M.rank
-
-    def kernel_mod_k(A):
-        # {x in Z^r : A x in k Z^r}, spanned together with k Z^r
-        block = [[int(A[i][j]) for j in range(r)] + [k if i == c else 0 for c in range(r)]
-                 for i in range(r)]
-        ker = intlin.kernel_basis(block)
-        lat = intlin.IntLattice(r)
-        for v in ker:
-            lat.add(list(v[:r]))
-        return lat.basis_vectors()
-
-    def image_cols(A):
-        cols = [[int(A[i][j]) for i in range(r)] for j in range(r)]
-        cols += [[k if i == c else 0 for i in range(r)] for c in range(r)]
-        return cols
-
-    if n == 0:
-        ker, img = kernel_mod_k(S), image_cols(np.zeros((r, r), dtype=np.int64))
-    elif n % 2 == 0:
-        ker, img = kernel_mod_k(S), image_cols(tr)
-    else:
-        ker, img = kernel_mod_k(tr), image_cols(S)
-    return CohomologyResult(n, "Z/%d" % k, structure=_kernel_mod_image_z(ker, img, r))
+    return _finite_homology(n, M, M.rank, (lambda: d(n - 1)) if n else None,
+                            lambda: d(n))
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +293,8 @@ def cup_with_trivial(group, module, a, p_deg, b, q_deg):
 
     (a cup b)(g_1..g_{p+q}) = a(g_1..g_p) * ((g_1...g_p) . b(g_{p+1}..)).
     """
-    assert module.p is not None
+    if module.p is None:
+        raise ValueError("cup_with_trivial needs F_p coefficients")
     bc = BarComplex(group, module)
     scal = BarComplex(group, make_trivial(group, module.ring))
     n = p_deg + q_deg
@@ -452,7 +408,8 @@ def character_chern(group, chi):
     out = np.zeros(bc.dim(2), dtype=np.int64)
     for idx, (a, b) in enumerate(bc.tuples(2)):
         carry = chi[a] + chi[b] - (chi[group.mul(a, b)] % 1)
-        assert carry.denominator == 1
+        if carry.denominator != 1:
+            raise VerificationError("carry of a Q/Z-valued character is not an integer")
         out[idx] = int(carry)
     return out
 
@@ -491,17 +448,6 @@ def all_characters(group):
     return out
 
 
-def faithful_character(group):
-    """A faithful character for a cyclic group: generator -> 1/order."""
-    chi = {group.identity: Fraction(0)}
-    sigma = group.generators[0]
-    g = group.identity
-    for k in range(1, group.order):
-        g = group.mul(g, sigma)
-        chi[g] = Fraction(k, group.order)
-    return chi
-
-
 class IntegralClassSpace:
     """Coordinates on H^n(G, M) over Z for mapping cocycles to classes.
 
@@ -511,10 +457,11 @@ class IntegralClassSpace:
     """
 
     def __init__(self, group, module, n):
-        assert n >= 1 and module.p is None
+        if n < 1 or module.p is not None:
+            raise ValueError("class coordinates need degree >= 1 and Z coefficients")
         self.bc = BarComplex(group, module)
         dprev = self.bc.delta_matrix(n - 1)
-        diag, _, U = intlin.smith_normal_form([[int(x) for x in r] for r in dprev], want_u=True)
+        diag, U = intlin.smith_normal_form([[int(x) for x in r] for r in dprev], want_u=True)
         self.n = n
         self.diag = diag
         self.U = U

@@ -26,12 +26,6 @@ def pack_rows(mat):
     return padded.view(np.uint64).reshape(a.shape[0], w)
 
 
-def unpack_rows(packed, n_bits):
-    b = packed.view(np.uint8)
-    out = np.unpackbits(b, axis=1, bitorder="little")[:, :n_bits]
-    return out.astype(np.int64)
-
-
 def _get_bit(rows, bit):
     return (rows[:, bit >> 6] >> np.uint64(bit & 63)) & np.uint64(1)
 

@@ -142,7 +142,7 @@ class GModule:
             return FiniteAbelianGroup([], 0)
         # write each tr(e_j) in the fixed basis, then take the cokernel
         cols = intlin.lattice_coords(fixed, tr.T, self.rank)
-        free_rank, factors, _ = intlin.quotient_structure(k, cols)
+        free_rank, factors = intlin.quotient_structure(k, cols)
         return FiniteAbelianGroup(factors, free_rank)
 
     def dual(self):
@@ -154,7 +154,8 @@ class GModule:
     def direct_sum(self, *others):
         """Block-diagonal sum of this module and the others, in order."""
         mods = (self,) + others
-        assert all(m.group is self.group and m.ring == self.ring for m in mods)
+        if any(m.group is not self.group or m.ring != self.ring for m in mods):
+            raise ValueError("direct summands need the same group and ring")
         total = sum(m.rank for m in mods)
         gens = {}
         for g in self.group.generators:
@@ -168,7 +169,8 @@ class GModule:
 
     def change_ring_mod(self, p):
         """Reduction M/pM of an integral module."""
-        assert self.p is None
+        if self.p is not None:
+            raise ValueError("reduction mod p needs an integral module")
         gens = {g: self.act(g) % p for g in self.group.generators}
         return GModule(self.group, "F%d" % p, self.rank, gens, check=False,
                        name=self.name + " mod %d" % p)
@@ -391,34 +393,6 @@ def restrict(M, subgroup):
     gens = {i: M.act(embed[i]) for i in H.generators}
     N = GModule(H, M.ring, M.rank, gens, check=False, name=M.name + "|H")
     return N, H, embed
-
-
-def induce(group, subgroup, N, embed):
-    """Induced module along H <= G for a module N over H-as-a-group.
-
-    embed maps element indices of N.group to element indices of the parent,
-    as returned by Subgroup.as_group().  Basis: t_i (x) n_j over left coset
-    representatives t_i, ordered coset-major.
-    """
-    inv_embed = {e: i for i, e in enumerate(embed)}
-    reps = subgroup.left_coset_reps()
-    k = len(reps)
-    r = N.rank
-    rep_pos = {t: i for i, t in enumerate(reps)}
-    coset_of = {}
-    for i, t in enumerate(reps):
-        for h in subgroup.elements:
-            coset_of[group.mul(t, h)] = i
-    gens = {}
-    for g in group.generators:
-        m = np.zeros((k * r, k * r), dtype=np.int64)
-        for i, t in enumerate(reps):
-            gt = group.mul(g, t)
-            j = coset_of[gt]
-            h = group.mul(group.inv(reps[j]), gt)
-            m[j * r:(j + 1) * r, i * r:(i + 1) * r] = N.act(inv_embed[h])
-        gens[g] = m
-    return GModule(group, N.ring, k * r, gens, check=False, name="Ind(%s)" % N.name)
 
 
 def _module_generators_z(M):

@@ -15,7 +15,7 @@ import json
 import numpy as np
 
 from . import fp
-from .errors import HorizonError
+from .errors import HorizonError, VerificationError
 
 
 def monomials(d):
@@ -369,7 +369,8 @@ def hilbert_series(P, D=None):
     for d in range(D + 1):
         R = P.relation_matrix(d)
         dim = P.free.dim(d) - fp.rank(R, P.p)
-        assert dim == P.dims[d], "presentation disagrees with the dimension table"
+        if dim != P.dims[d]:
+            raise VerificationError("presentation disagrees with the dimension table")
         out.append(dim)
     return out
 

@@ -34,7 +34,8 @@ def identity_matrix(n):
 def mat_mult(A, B):
     """Exact product of two list-of-rows matrices."""
     n = len(B)
-    assert all(len(row) == n for row in A)
+    if any(len(row) != n for row in A):
+        raise ValueError("inner dimensions of the product differ")
     p = len(B[0]) if n else 0
     Bc = [[B[i][j] for i in range(n)] for j in range(p)]
     return [[sum(row[k] * col[k] for k in range(n)) for col in Bc] for row in A]
@@ -157,15 +158,6 @@ def kernel_basis(rows):
     return ColumnEchelon(rows).kernel_basis()
 
 
-def rank_int(rows):
-    return ColumnEchelon(rows).rank
-
-
-def solve_int(rows, b):
-    """One solution of A x = b over the integers, or None."""
-    return ColumnEchelon(rows).solve(b)
-
-
 def lattice_coords(basis, vectors, dim):
     """Coordinates of each vector in the lattice spanned by the length-dim
     basis vectors; raises RuntimeError if a vector lies outside it."""
@@ -235,31 +227,24 @@ class IntLattice:
         return [self.basis[r] for r in sorted(self.basis)]
 
 
-def smith_normal_form(rows, want_uinv=False, want_u=False):
+def smith_normal_form(rows, want_u=False):
     """Diagonal of the Smith normal form of A, with divisibility d1 | d2 | ...
 
-    Returns (diag, uinv, u).  With want_uinv, uinv is the inverse of the row
-    transform, so column j of uinv generates the j-th cyclic factor of
-    coker(A) in the original coordinates.  With want_u, u is the forward row
-    transform itself: (u @ x)[j] is the j-th cokernel coordinate of an
-    ambient vector x (read mod diag[j] for torsion slots).
+    Returns (diag, u).  With want_u, u is the row transform: (u @ x)[j] is
+    the j-th cokernel coordinate of an ambient vector x (read mod diag[j]
+    for torsion slots).
     """
     A = [list(row) for row in rows]
     m = len(A)
     n = len(A[0]) if m else 0
-    Uinv = identity_matrix(m) if want_uinv else None
     U = identity_matrix(m) if want_u else None
 
     def row_sub(i, j, q):
-        # row_i -= q * row_j ; Uinv col_j += q * col_i ; U row_i -= q * U row_j
+        # row_i -= q * row_j ; U row_i -= q * U row_j
         Ai, Aj = A[i], A[j]
         for k in range(n):
             if Aj[k]:
                 Ai[k] -= q * Aj[k]
-        if Uinv is not None:
-            for r in range(m):
-                if Uinv[r][i]:
-                    Uinv[r][j] += q * Uinv[r][i]
         if U is not None:
             Ui, Uj = U[i], U[j]
             for k in range(m):
@@ -268,17 +253,11 @@ def smith_normal_form(rows, want_uinv=False, want_u=False):
 
     def row_swap(i, j):
         A[i], A[j] = A[j], A[i]
-        if Uinv is not None:
-            for r in range(m):
-                Uinv[r][i], Uinv[r][j] = Uinv[r][j], Uinv[r][i]
         if U is not None:
             U[i], U[j] = U[j], U[i]
 
     def row_neg(i):
         A[i] = [-x for x in A[i]]
-        if Uinv is not None:
-            for r in range(m):
-                Uinv[r][i] = -Uinv[r][i]
         if U is not None:
             U[i] = [-x for x in U[i]]
 
@@ -341,33 +320,32 @@ def smith_normal_form(rows, want_uinv=False, want_u=False):
         t += 1
 
     diag = [A[i][i] for i in range(min(m, n)) if A[i][i] != 0]
-    return diag, Uinv, U
+    return diag, U
 
 
 def invariant_factors(rows):
     """Nontrivial invariant factors (each >= 2, in a dividing chain) and rank."""
-    diag, _, _ = smith_normal_form(rows)
+    diag, _ = smith_normal_form(rows)
     return [d for d in diag if d != 1], len(diag)
 
 
 def quotient_structure(dim, cols):
-    """Structure of Z^dim / (lattice spanned by the given column vectors).
-
-    Returns (free_rank, factors, generators) where generators lists one
-    ambient vector per listed torsion factor followed by one per free factor.
-    """
+    """Structure of Z^dim / (lattice spanned by the given column vectors),
+    as (free_rank, factors)."""
     if not cols:
-        gens = [[1 if i == j else 0 for i in range(dim)] for j in range(dim)]
-        return dim, [], gens
-    rows = [[c[r] for c in cols] for r in range(dim)]
-    diag, uinv, _ = smith_normal_form(rows, want_uinv=True)
-    rank = len(diag)
-    factors = [d for d in diag if d != 1]
-    gens = []
-    for j in range(len(diag)):
-        if diag[j] != 1:
-            gens.append([uinv[r][j] for r in range(dim)])
-    for j in range(rank, dim):
-        gens.append([uinv[r][j] for r in range(dim)])
-    free_rank = dim - rank
-    return free_rank, factors, gens
+        return dim, []
+    factors, rank = invariant_factors([[c[r] for c in cols] for r in range(dim)])
+    return dim - rank, factors
+
+
+def kernel_mod(rows, moduli):
+    """Basis of {x in Z^n : (A x)_i = 0 mod moduli[i] for every row i}: the
+    x-parts of ker [A | diag(moduli)], in IntLattice echelon form."""
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    block = [[int(x) for x in row] + [k if i == j else 0 for j in range(m)]
+             for i, (row, k) in enumerate(zip(rows, moduli))]
+    lat = IntLattice(n)
+    for v in kernel_basis(block):
+        lat.add(v[:n])
+    return lat.basis_vectors()

@@ -26,8 +26,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import fp
-
 KLEIN_G = 1
 KLEIN_H = 2
 
@@ -87,13 +85,12 @@ def cochain_differential(M, n):
 
 def cohomology_dim(M, n):
     """dim_{F_2} H^n(Klein4, M) via the minimal resolution."""
-    if n == 0:
-        d0 = cochain_differential(M, 0)
-        return M.rank - fp.rank(d0, 2)
-    dn = cochain_differential(M, n)
-    dprev = cochain_differential(M, n - 1)
-    kernel_dim = (n + 1) * M.rank - fp.rank(dn, 2)
-    return kernel_dim - fp.rank(dprev, 2)
+    # imported here: cohomology imports gmodules, which imports this module
+    from .cohomology import _finite_homology
+
+    d_in = (lambda: cochain_differential(M, n - 1)) if n else None
+    return _finite_homology(n, M, (n + 1) * M.rank, d_in,
+                            lambda: cochain_differential(M, n)).dim
 
 
 def coboundary_rows(M, n):
@@ -115,11 +112,3 @@ def monomial_cocycle(M, m0, alpha, beta):
     f = np.zeros((n + 1) * r, dtype=np.int64)
     f[alpha * r: (alpha + 1) * r] = np.asarray(m0) % 2
     return f
-
-
-def shift_y(M, f, n):
-    """Cup with y: (yf)_{p,q} = f_{p,q-1}."""
-    r = M.rank
-    out = np.zeros((n + 2) * r, dtype=np.int64)
-    out[: (n + 1) * r] = f
-    return out

@@ -38,17 +38,13 @@ def is_coflasque(module):
 
     witness is None on success, else (subgroup, FiniteAbelianGroup).
     """
-    assert module.p is None
+    if module.p is not None:
+        raise ValueError("coflasqueness is defined for lattices over Z")
     for S in module.group.subgroups():
         h1 = h1_lattice(module, S)
         if not h1.is_trivial():
             return False, (S, h1)
     return True, None
-
-
-def is_flasque(module):
-    """Dual predicate: the contragredient lattice is coflasque."""
-    return is_coflasque(module.dual())
 
 
 class CoflasqueResolution:
@@ -133,14 +129,7 @@ def coflasque_resolution(M, prune=False):
         pieces = _prune_pieces(G, M, pieces)
     P, Smat = permutation_sum(M, pieces)
     if M.p:
-        # integer kernel of "S x = 0 mod p": x-parts of ker [S | pI]
-        rows = [[int(x) for x in row] + [M.p if i == j else 0 for j in range(M.rank)]
-                for i, row in enumerate(Smat)]
-        ker = intlin.kernel_basis(rows)
-        lat = intlin.IntLattice(P.rank)
-        for v in ker:
-            lat.add(v[:P.rank])
-        q_basis = lat.basis_vectors()
+        q_basis = intlin.kernel_mod(Smat, [M.p] * M.rank)
     else:
         q_basis = intlin.kernel_basis([[int(x) for x in r] for r in Smat])
     Q = _submodule_from_kernel(P, q_basis, "Q(%s)" % M.name)
@@ -229,21 +218,19 @@ def counterexample_lattices(m):
     for i in range(1, m + 1):
         s.append(act_f(3, i) - f(i) - f(m + i) - f(m + 1 + i))  # gh f_i - ...
     a_basis = [list(int(x) for x in v) for v in s[1:]]
-    assert len(a_basis) == 5 * m + 1
+    if len(a_basis) != 5 * m + 1:
+        raise VerificationError("stated basis has %d vectors, not %d"
+                                % (len(a_basis), 5 * m + 1))
 
     # the basis really spans the kernel of S mod 2
-    rows = [[int(x) for x in row] + [2 if i == j else 0 for j in range(r)]
-            for i, row in enumerate(S)]
-    ker = intlin.kernel_basis(rows)
-    lat = intlin.IntLattice(nB)
-    for v in ker:
-        lat.add(v[:nB])
     stated = intlin.IntLattice(nB)
     for v in a_basis:
-        assert lat.contains(v), "stated basis vector outside the kernel"
+        if (S @ np.asarray(v, dtype=np.int64) % 2).any():
+            raise VerificationError("stated basis vector outside the kernel")
         stated.add(list(v))
-    for v in lat.basis_vectors():
-        assert stated.contains(v), "stated basis does not span the kernel"
+    for v in intlin.kernel_mod(S, [2] * r):
+        if not stated.contains(v):
+            raise VerificationError("stated basis does not span the kernel")
 
     A = _submodule_from_kernel(B, a_basis, "A")
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -144,6 +147,33 @@ def test_verification_error_exit_1(capsys, monkeypatch):
     code = cli.main(["coflasque", "--group", "C4", "--module", "sign", "--resolve"])
     assert code == cli.EXIT_MISMATCH
     assert "verification failed: tampered" in capsys.readouterr().err
+
+
+# a closed form that is wrong: the oracle comparison must exit 1
+_TAMPER = ("from chowtwist import cli, gmodules\n"
+           "gmodules.GModule.trace_quotient = "
+           "lambda self: gmodules.FiniteAbelianGroup([97], 0)\n")
+_Q16_ORACLE = ["twisted-chow", "--group", "Q16", "--module", "trivialZ",
+               "--degree", "2", "--oracle"]
+
+
+def test_oracle_catches_wrong_closed_form(capsys, monkeypatch):
+    from chowtwist import gmodules
+    monkeypatch.setattr(gmodules.GModule, "trace_quotient",
+                        lambda self: gmodules.FiniteAbelianGroup([97], 0))
+    assert cli.main(_Q16_ORACLE) == cli.EXIT_MISMATCH
+    assert "disagrees with oracle" in capsys.readouterr().err
+
+
+def test_oracle_check_survives_optimize():
+    code = _TAMPER + "raise SystemExit(cli.main(%r))\n" % (_Q16_ORACLE,)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    out = subprocess.run([sys.executable, "-O", "-c", code],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == cli.EXIT_MISMATCH, out.stderr
+    assert "verification failed" in out.stderr
 
 
 def test_unsupported_family_exit_4(tmp_path, capsys):

@@ -47,11 +47,11 @@ def test_cyclic_cohomology_modulus():
     G = make_cyclic(4)
     T = gm.make_trivial(G)
     for n in (0, 1, 2, 3):
-        st = coh.cyclic_cohomology(G, T, n, modulus=2).structure
+        st = coh.cyclic_cohomology(G, T.change_ring_mod(2), n).structure
         assert st == gm.FiniteAbelianGroup([2]), n
-    # modulus 4 on the sign module alternates 0, Z/2, Z/2
-    S = gm.make_sign_cyclic(G)
-    assert coh.cyclic_cohomology(G, S, 1, modulus=2).structure == gm.FiniteAbelianGroup([2])
+    # the sign module mod 2 is trivial
+    S = gm.make_sign_cyclic(G).change_ring_mod(2)
+    assert coh.cyclic_cohomology(G, S, 1).structure == gm.FiniteAbelianGroup([2])
 
 
 def test_klein_trivial_f2_dims():
@@ -79,6 +79,10 @@ def test_homology_and_negative_tate():
     assert coh.tate(G, T, 0).structure == gm.FiniteAbelianGroup([5])
     assert coh.tate(G, T, -1).structure.is_trivial()
     assert coh.tate(G, T, -2).structure == gm.FiniteAbelianGroup([5])
+    # negative degrees belong to tate, not to the bar (co)homology
+    for f in (coh.bar_cohomology, coh.bar_homology):
+        with pytest.raises(ValueError):
+            f(G, T, -1)
 
 
 def test_tate_two_periodicity():
@@ -86,6 +90,19 @@ def test_tate_two_periodicity():
     for M in (gm.make_trivial(G), gm.make_sign_cyclic(G)):
         for i in (-3, -2, -1, 0, 1):
             assert coh.tate(G, M, i).structure == coh.tate(G, M, i + 2).structure
+
+
+def test_tate_matches_periodic_resolution():
+    # every degree of the complete bar complex, including the trace at 0
+    # and the coinvariant map at -1, against the 2-periodic resolution
+    for m in (4, 6):
+        G = make_cyclic(m)
+        S = gm.make_sign_cyclic(G)
+        for M in (gm.make_regular(G), S, S.change_ring_mod(3),
+                  gm.make_augmentation_quotient(G).change_ring_mod(2)):
+            for i in range(-2, 3):
+                periodic = coh.cyclic_cohomology(G, M, 2 if i % 2 == 0 else 1)
+                assert coh.tate(G, M, i).structure == periodic.structure, (m, M.name, i)
 
 
 def test_resource_cap(monkeypatch):
@@ -125,7 +142,7 @@ def test_character_chern_order():
     T = gm.make_trivial(G)
     space = coh.IntegralClassSpace(G, T, 2)
     assert space.factors == [4]
-    chi = coh.faithful_character(G)
+    chi = {g: Fraction(g, 4) for g in range(4)}  # faithful: sigma^g -> g/4
     cls = space.class_of(coh.character_chern(G, chi))
     assert space.element_order(cls) == 4
 

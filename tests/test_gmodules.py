@@ -157,9 +157,9 @@ def test_restrict_and_induce():
     G = make_klein4()
     H = G.generated_subgroup([1])
     S = gm.make_sign_cyclic(make_cyclic(2))
-    Hgrp, embed = H.as_group()
-    ind = gm.induce(G, H, gm.make_trivial(Hgrp), embed)
-    assert ind.rank == H.index
+    # the module induced from the trivial one is the permutation module Z[G/H]
+    ind = gm.make_permutation(G, H)
+    assert ind.rank == H.index and ind.fixed_dim() == 1
     res, Hg, _ = gm.restrict(gm.make_regular(G), H)
     assert res.rank == 4 and res.fixed_dim() == 2
     assert Hg.order == 2 and S.rank == 1

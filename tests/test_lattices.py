@@ -38,8 +38,9 @@ def test_sign_module_is_not_coflasque():
 def test_flasque_dual():
     G = make_cyclic(4)
     R = gm.make_regular(G)
-    assert lat.is_flasque(R)[0]
-    assert not lat.is_flasque(gm.make_sign_cyclic(G))[0]
+    # M is flasque when its dual is coflasque
+    assert lat.is_coflasque(R.dual())[0]
+    assert not lat.is_coflasque(gm.make_sign_cyclic(G).dual())[0]
 
 
 def test_resolution_of_sign_module():

@@ -1,11 +1,14 @@
 """Exact integer linear algebra, dense F_p and packed F_2 layers."""
 
+import itertools
+import math
 import random
 
 import numpy as np
 import pytest
 
 from chowtwist import f2, fp, intlin
+from chowtwist.gmodules import _det_int
 
 
 def _rand_matrix(rng, m, n, lo=-5, hi=5):
@@ -16,10 +19,10 @@ def test_snf_divisibility_and_invariance():
     rng = random.Random(1)
     for _ in range(25):
         A = _rand_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-        diag, _, _ = intlin.smith_normal_form(A)
+        diag, _ = intlin.smith_normal_form(A)
         for a, b in zip(diag, diag[1:]):
             assert b % a == 0
-        assert len(diag) == intlin.rank_int(A)
+        assert len(diag) == intlin.ColumnEchelon(A).rank
 
 
 def test_snf_forward_transform():
@@ -27,10 +30,15 @@ def test_snf_forward_transform():
     for _ in range(10):
         m, n = rng.randint(2, 5), rng.randint(2, 5)
         A = _rand_matrix(rng, m, n)
-        diag, uinv, u = intlin.smith_normal_form(A, want_uinv=True, want_u=True)
-        # u and uinv really are inverse row transforms
-        prod = intlin.mat_mult(u, uinv)
-        assert prod == intlin.identity_matrix(m)
+        diag, u = intlin.smith_normal_form(A, want_u=True)
+        # u is unimodular and u A = D V^-1: row j is divisible by diag[j],
+        # and the rows past the rank vanish
+        assert abs(_det_int(u)) == 1
+        for j, row in enumerate(intlin.mat_mult(u, A)):
+            if j < len(diag):
+                assert all(x % diag[j] == 0 for x in row)
+            else:
+                assert not any(row)
 
 
 def test_kernel_saturated():
@@ -48,17 +56,41 @@ def test_kernel_saturated():
 
 def test_solve_int():
     A = [[2, 0], [0, 3]]
-    assert intlin.solve_int(A, [4, 9]) == [2, 3]
-    assert intlin.solve_int(A, [1, 0]) is None
+    assert intlin.ColumnEchelon(A).solve([4, 9]) == [2, 3]
+    assert intlin.ColumnEchelon(A).solve([1, 0]) is None
 
 
 def test_quotient_structure():
-    free, fac, gens = intlin.quotient_structure(2, [[2, 0], [0, 3]])
+    free, fac = intlin.quotient_structure(2, [[2, 0], [0, 3]])
     assert free == 0 and fac == [6]  # Z/2 + Z/3 = Z/6
-    free, fac, _ = intlin.quotient_structure(3, [[2, 0, 0]])
+    free, fac = intlin.quotient_structure(3, [[2, 0, 0]])
     assert free == 2 and fac == [2]
-    free, fac, _ = intlin.quotient_structure(2, [])
+    free, fac = intlin.quotient_structure(2, [])
     assert free == 2 and fac == []
+
+
+def test_kernel_mod_matches_brute_force():
+    # {x : A x = 0 mod k} contains L Z^n for L = lcm(k), so it is spanned by
+    # L e_i and its points in the box [0, L)^n
+    rng = random.Random(8)
+    for _ in range(30):
+        m, n = rng.randint(1, 3), rng.randint(1, 3)
+        A = _rand_matrix(rng, m, n, -4, 4)
+        ks = [rng.randint(2, 4) for _ in range(m)]
+        L = 1
+        for k in ks:
+            L = L * k // math.gcd(L, k)
+        basis = intlin.kernel_mod(A, ks)
+        lat = intlin.IntLattice(n)
+        for v in basis:
+            assert all(x % k == 0 for x, k in zip(intlin.mat_vec(A, v), ks))
+            lat.add(v)
+        assert len(basis) == n  # full rank: L Z^n lies inside
+        for x in itertools.product(range(L), repeat=n):
+            inside = all(y % k == 0 for y, k in zip(intlin.mat_vec(A, x), ks))
+            assert lat.contains(list(x)) == inside
+        for i in range(n):
+            assert lat.contains([L if j == i else 0 for j in range(n)])
 
 
 def test_int_lattice_membership():
@@ -100,7 +132,8 @@ def test_f2_pack_roundtrip():
     M = np.array([[rng.randrange(2) for _ in range(130)] for _ in range(7)],
                  dtype=np.int64)
     packed = f2.pack_rows(M)
-    assert np.array_equal(f2.unpack_rows(packed, 130), M)
+    bits = np.unpackbits(packed.view(np.uint8), axis=1, bitorder="little")
+    assert np.array_equal(bits[:, :130].astype(np.int64), M)
 
 
 def test_f2_span_matches_dense_rank():

@@ -1,7 +1,7 @@
 import concurrent.futures
 import os
 
-from chowtwist import verify
+from chowtwist import gmodules, verify
 
 
 def test_klein_tail_runs_once():
@@ -39,3 +39,12 @@ def test_jobs_clamped_to_cpus_and_params(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert verify.run_battery("klein", params=[1, 2, 3], jobs=100000) == expected
     assert _SerialPool.created == [3, 2]
+
+
+def test_cyclic_oracle_independent_of_closed_form(monkeypatch):
+    # the periodic oracle must not share the closed form's trace quotient
+    monkeypatch.setattr(gmodules.GModule, "trace_quotient",
+                        lambda self: gmodules.FiniteAbelianGroup([97], 0))
+    periodic = [c for c in verify.cyclic_checks(4) if "vs periodic" in c["name"]]
+    assert len(periodic) == 15
+    assert not any(c["ok"] for c in periodic)
