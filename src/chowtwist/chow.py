@@ -193,17 +193,13 @@ def _transfer_classes_q(group, module, subgroups, space=None):
         if sub.order == 1:
             continue
         MH, H, _ = restrict(module, sub)
-        bcH = coh.BarComplex(H, MH)
         fixed = MH.fixed_points()
         for chi in coh.all_characters(H):
             if all(v == 0 for v in chi.values()):
                 continue
             chern = coh.character_chern(H, chi)
             for m0 in fixed:
-                z = np.zeros(bcH.dim(2), dtype=np.int64)
-                for idx in range(len(bcH.tuples(2))):
-                    z[idx * MH.rank:(idx + 1) * MH.rank] = chern[idx] * np.asarray(m0)
-                cz = coh.corestriction_cochain(group, module, sub, z, 2)
+                cz = coh.corestriction_cochain(group, module, sub, np.kron(chern, m0), 2)
                 classes.append(space.class_of(cz))
     return space, classes
 
@@ -518,16 +514,12 @@ def _klein_bar_transfer_check(group, module):
     for a in (1, 2, 3):
         sub = group.generated_subgroup([a])
         MH, H, _ = restrict(M, sub)
-        bcH = coh.BarComplex(H, MH)
         # c = x_H^2, square of the nontrivial character of H
         trivH = make_trivial(H, M.ring)
         xH = np.array([1], dtype=np.int64)  # nontrivial character on the generator
         cH2 = coh.cup_with_trivial(H, trivH, xH, 1, xH, 1)
         for m0 in MH.fixed_points():
-            z = np.zeros(bcH.dim(2), dtype=np.int64)
-            for idx in range(len(bcH.tuples(2))):
-                z[idx * M.rank:(idx + 1) * M.rank] = cH2[idx] * np.asarray(m0)
-            cz = coh.corestriction_cochain(group, M, sub, z, 2)
+            cz = coh.corestriction_cochain(group, M, sub, np.kron(cH2, m0), 2)
             if not span.contains(cz):
                 return False
     return True

@@ -87,57 +87,57 @@ class BarComplex:
         i = self.tuple_index(t)
         return f[i * self.r:(i + 1) * self.r]
 
-    def delta_matrix(self, n):
-        """Dense matrix of delta_n, shape dim(n+1) x dim(n)."""
-        if n in self._delta_cache:
-            return self._delta_cache[n]
-        self.check_cap(n)
-        G, M, r, q = self.group, self.module, self.r, self.q
-        rows, cols = self.dim(n + 1), self.dim(n)
-        D = np.zeros((rows, cols), dtype=np.int64)
+    def _face_matrix(self, n, chains):
+        """The faces of each n-tuple t, summed without a cap: t[1:] through
+        t[0] (through t[0]^-1 on chains), the signed merges and t[:n-1].
+        On cochains, with t indexing the rows, this is delta_{n-1}; on
+        chains, with t indexing the columns, it is d_n."""
+        G, M, r = self.group, self.module, self.r
+        shape = (self.dim(n), self.dim(n - 1))
+        D = np.zeros(shape[::-1] if chains else shape, dtype=np.int64)
         eye = np.eye(r, dtype=np.int64)
 
-        def add_block(out_idx, t_in, mat):
-            if G.identity in t_in:
+        def add_block(idx, face, mat):
+            if G.identity in face:
                 return
-            j = self.tuple_index(t_in)
-            D[out_idx * r:(out_idx + 1) * r, j * r:(j + 1) * r] += mat
+            j = self.tuple_index(face)
+            a, b = (j, idx) if chains else (idx, j)
+            D[a * r:(a + 1) * r, b * r:(b + 1) * r] += mat
 
-        for idx, t in enumerate(self.tuples(n + 1)):
-            add_block(idx, t[1:], M.act(t[0]))
+        for idx, t in enumerate(self.tuples(n)):
+            add_block(idx, t[1:], M.act(G.inv(t[0]) if chains else t[0]))
             sign = -1
-            for i in range(n):
+            for i in range(n - 1):
                 merged = t[:i] + (G.mul(t[i], t[i + 1]),) + t[i + 2:]
                 add_block(idx, merged, sign * eye)
                 sign = -sign
-            add_block(idx, t[:n], sign * eye)
+            add_block(idx, t[:n - 1], sign * eye)
         if M.p:
             D %= M.p
-        self._delta_cache[n] = D
         return D
+
+    def delta_matrix(self, n):
+        """Dense matrix of delta_n, shape dim(n+1) x dim(n)."""
+        if n not in self._delta_cache:
+            self.check_cap(n)
+            self._delta_cache[n] = self._face_matrix(n + 1, chains=False)
+        return self._delta_cache[n]
 
     def complete_map(self, i):
         """d^i : C^i -> C^{i+1} of the complete complex, whose degree i >= 0
         holds the bar cochains C^i and degree i < 0 the chains C_{-1-i}:
         the coboundary for i >= 0, the trace at -1, the boundary below.
 
-        delta_0 and d_1 are stacks of rank-sized blocks; they are built
-        here, outside the cap, so that Tate degrees 0 and -1 need none.
+        delta_0 and d_1 are built without the cap, so that Tate degrees 0
+        and -1 need none.
         """
         if i >= 1:
             return self.delta_matrix(i)
         if i <= -3:
             return self.boundary_matrix(-1 - i)
-        M, r = self.module, self.r
         if i == -1:
-            return M.trace_matrix()
-        eye = np.eye(r, dtype=np.int64)
-        if i == 0:  # m -> (g m - m)_g
-            return np.vstack([np.zeros((0, r), dtype=np.int64)]
-                             + [M.act(g) - eye for g in self.nonid])
-        # (m_g)_g -> sum_g (g^-1 m_g - m_g)
-        return np.hstack([np.zeros((r, 0), dtype=np.int64)]
-                         + [M.act(self.group.inv(g)) - eye for g in self.nonid])
+            return self.module.trace_matrix()
+        return self._face_matrix(1, chains=i == -2)
 
     def boundary_matrix(self, n):
         """Matrix of the homology boundary d_n : C_n -> C_{n-1} for
@@ -147,32 +147,10 @@ class BarComplex:
         d(m (x) [g1|...|gn]) = m.g1 (x) [g2|...|gn]
           + sum (-1)^i m (x) [...|g_i g_{i+1}|...] + (-1)^n m (x) [g1|...].
         """
-        if n in self._boundary_cache:
-            return self._boundary_cache[n]
-        self.check_cap(n)
-        G, M, r = self.group, self.module, self.r
-        rows, cols = self.dim(n - 1), self.dim(n)
-        D = np.zeros((rows, cols), dtype=np.int64)
-        eye = np.eye(r, dtype=np.int64)
-
-        def add_block(t_out, in_idx, mat):
-            if G.identity in t_out:
-                return
-            i = self.tuple_index(t_out)
-            D[i * r:(i + 1) * r, in_idx * r:(in_idx + 1) * r] += mat
-
-        for idx, t in enumerate(self.tuples(n)):
-            add_block(t[1:], idx, M.act(G.inv(t[0])))
-            sign = -1
-            for i in range(n - 1):
-                merged = t[:i] + (G.mul(t[i], t[i + 1]),) + t[i + 2:]
-                add_block(merged, idx, sign * eye)
-                sign = -sign
-            add_block(t[:n - 1], idx, sign * eye)
-        if M.p:
-            D %= M.p
-        self._boundary_cache[n] = D
-        return D
+        if n not in self._boundary_cache:
+            self.check_cap(n)
+            self._boundary_cache[n] = self._face_matrix(n, chains=True)
+        return self._boundary_cache[n]
 
 
 class CohomologyResult:
@@ -237,7 +215,9 @@ def bar_homology(group, module, n):
     """H_n(G, M) from the normalized bar resolution: Tate degree -1-n for
     n > 0, and the coinvariants M_G = coker d_1 at n = 0."""
     if n > 0:
-        return tate(group, module, -1 - n)
+        res = tate(group, module, -1 - n)
+        res.degree = n
+        return res
     if n < 0:
         raise ValueError("homology degrees must be >= 0")
     d1 = BarComplex(group, module).complete_map(-2)
@@ -248,18 +228,15 @@ def bar_homology(group, module, n):
 
 
 def tate(group, module, i):
-    """Tate cohomology in any degree from the complete bar complex.
-
-    A degree below -1 is the homology H_{-1-i} and is labelled with that
-    degree, as bar_homology labels it.
-    """
+    """Tate cohomology in any degree from the complete bar complex,
+    labelled with the Tate degree i (below -1 it is the homology H_{-1-i})."""
     bc = BarComplex(group, module)
     if i > 0:
         bc.check_cap(i)
     elif i < -1:
         bc.check_cap(-i)
     k = i if i >= 0 else -1 - i  # bar degree of the (co)chains in Tate degree i
-    return _finite_homology(i if i >= -1 else k, module, bc.dim(k),
+    return _finite_homology(i, module, bc.dim(k),
                             lambda: bc.complete_map(i - 1), lambda: bc.complete_map(i))
 
 

@@ -5,7 +5,10 @@ two variables) and Castelnuovo-Mumford regularity.
 
 Everything is degreewise dense linear algebra on monomial bases; no Groebner
 machinery.  A module is fed in as a dimension table plus the two
-multiplication maps per degree.
+multiplication maps per degree.  Every map out of a free module (the
+evaluation onto the module, the relations into the generators' free module,
+the syzygies into the relations' one) is one FreeMap, taken a degree slice
+at a time; kernels, ranks and the minimality checks are read off its slices.
 """
 
 from __future__ import annotations
@@ -44,9 +47,6 @@ class FreeBasis:
     def dim(self, d):
         return sum(d - gi + 1 for gi in self.gen_degrees if d >= gi)
 
-    def index(self, d, key):
-        return self.basis(d).index(key)
-
     def shift(self, d, var):
         """Matrix of multiplication by u (var=0) or v (var=1), slice d to d+1."""
         src = self.basis(d)
@@ -58,6 +58,53 @@ class FreeBasis:
         return out
 
 
+class FreeMap:
+    """The F_p[u, v]-linear map out of the free module `source` that sends
+    generator i to images[i], one degree slice at a time.
+
+    target_dim(d) is the dimension of the target's slice d and
+    target_shift(d, var) the matrix of multiplication by u (var=0) or v
+    (var=1) from slice d to d+1.  Calling the map with d gives the memoised
+    slice-d matrix, target_dim(d) x source.dim(d); its column (i, a, b) is
+    u^a v^b applied to images[i], built recursively along u first.
+    """
+
+    def __init__(self, source, images, p, target_dim, target_shift):
+        self.source = source
+        self.images = images
+        self.p = p
+        self.target_dim = target_dim
+        self.target_shift = target_shift
+        self._slices = {}
+
+    @classmethod
+    def into_free(cls, target, gens, p):
+        """The map from the free module on gens = [(degree, vector over
+        target's slice basis)] into the free module `target`."""
+        return cls(FreeBasis([d for d, _ in gens]), [v for _, v in gens], p,
+                   target.dim, target.shift)
+
+    def __call__(self, d):
+        if d in self._slices:
+            return self._slices[d]
+        basis = self.source.basis(d)
+        out = np.zeros((self.target_dim(d), len(basis)), dtype=np.int64)
+        if any(gi < d for gi in self.source.gen_degrees):
+            prev = self(d - 1)
+            pos = {k: j for j, k in enumerate(self.source.basis(d - 1))}
+            su, sv = self.target_shift(d - 1, 0), self.target_shift(d - 1, 1)
+        for j, (i, a, b) in enumerate(basis):
+            if a == b == 0:
+                out[:, j] = self.images[i]
+            elif a:
+                out[:, j] = su @ prev[:, pos[(i, a - 1, b)]]
+            else:
+                out[:, j] = sv @ prev[:, pos[(i, a, b - 1)]]
+        out %= self.p
+        self._slices[d] = out
+        return out
+
+
 class GradedModulePresentation:
     """Generators and homogeneous relations for a graded module, plus the
     degreewise dimension table they were extracted from.
@@ -65,6 +112,10 @@ class GradedModulePresentation:
     gen_degrees: degree of each generator.
     gen_vectors: the generator as a vector in the module's own degree slice.
     relations: list of (degree, vector over the free-module slice basis).
+
+    evaluation is the surjection from the free module on the generators
+    onto the module, relation_map the map from the free module on the
+    relations into the free module on the generators.
     """
 
     def __init__(self, p, dims, u_maps, v_maps, gen_degrees, gen_vectors,
@@ -76,80 +127,26 @@ class GradedModulePresentation:
         self.v_maps = v_maps
         self.gen_degrees = gen_degrees
         self.gen_vectors = gen_vectors
-        self.relations = relations
         self.name = name
         self.free = FreeBasis(gen_degrees)
-        self._eval_cache = {}
+        self.evaluation = FreeMap(self.free, gen_vectors, p, self.dims.__getitem__,
+                                  lambda d, var: (u_maps, v_maps)[var][d])
+        self.relations = relations
+        self.relation_map = FreeMap.into_free(self.free, relations, p)
 
     def relation_degrees(self):
         return [d for d, _ in self.relations]
-
-    def evaluation(self, d):
-        """Matrix of the surjection (free module slice d) -> M_d.
-
-        Column for (i, a, b) is u^a v^b applied to generator i, built
-        recursively along u first.
-        """
-        if d in self._eval_cache:
-            return self._eval_cache[d]
-        cols = {}
-        for i, gi in enumerate(self.gen_degrees):
-            if d < gi:
-                continue
-            if d == gi:
-                cols[(i, 0, 0)] = np.asarray(self.gen_vectors[i], dtype=np.int64)
-                continue
-            prev = self.evaluation(d - 1)
-            pb = self.free.basis(d - 1)
-            for a, b in monomials(d - gi):
-                if a > 0:
-                    src = prev[:, pb.index((i, a - 1, b))]
-                    cols[(i, a, b)] = (self.u_maps[d - 1] @ src) % self.p
-                else:
-                    src = prev[:, pb.index((i, a, b - 1))]
-                    cols[(i, a, b)] = (self.v_maps[d - 1] @ src) % self.p
-        basis = self.free.basis(d)
-        out = np.zeros((self.dims[d], len(basis)), dtype=np.int64)
-        for j, key in enumerate(basis):
-            out[:, j] = cols[key]
-        self._eval_cache[d] = out
-        return out
-
-    def relation_matrix(self, d):
-        """Independent rows spanning the degree-d slice of the submodule
-        generated by the relations, inside the free module slice.  Built
-        incrementally (shift the previous slice, add new relations, reduce)
-        so the row count stays at the slice rank."""
-        if not hasattr(self, "_rel_cache"):
-            self._rel_cache = {}
-        if d in self._rel_cache:
-            return self._rel_cache[d]
-        rows = []
-        if d > 0:
-            prev = self.relation_matrix(d - 1)
-            if len(prev):
-                su = self.free.shift(d - 1, 0)
-                sv = self.free.shift(d - 1, 1)
-                rows.extend((su @ w) % self.p for w in prev)
-                rows.extend((sv @ w) % self.p for w in prev)
-        rows.extend(np.asarray(vec, dtype=np.int64) for rd, vec in self.relations
-                    if rd == d)
-        out = fp.Span(self.free.dim(d), self.p, rows).basis()
-        self._rel_cache[d] = out
-        return out
 
     def check(self):
         """Dimension table consistent with the presentation in every degree:
         dim M_d = dim F_d - rank(relations in degree d), and the evaluation
         map is onto with the relations inside its kernel."""
         for d in range(self.horizon + 1):
-            E = self.evaluation(d)
+            E, R = self.evaluation(d), self.relation_map(d)
             if fp.rank(E.T, self.p) != self.dims[d]:
                 raise ValueError("presentation not surjective in degree %d" % d)
-            R = self.relation_matrix(d)
-            if len(R):
-                if ((E @ R.T) % self.p).any():
-                    raise ValueError("relation fails to evaluate to zero in degree %d" % d)
+            if ((E @ R) % self.p).any():
+                raise ValueError("relation fails to evaluate to zero in degree %d" % d)
             if self.free.dim(d) - fp.rank(R, self.p) != self.dims[d]:
                 raise ValueError("dimension table inconsistent in degree %d" % d)
         return True
@@ -198,31 +195,31 @@ def present_from_action(dims, u_maps, v_maps, p=2, name=None):
     pres = GradedModulePresentation(p, dims, u_maps, v_maps, gen_degrees,
                                     gen_vectors, [], name=name)
     # relations: minimal generators of the kernel of the evaluation map
-    pres.relations = _minimal_kernel_generators(
-        p, pres.free, lambda d: pres.evaluation(d), D)
+    pres.relations = _minimal_kernel_generators(pres.evaluation, D)
+    pres.relation_map = FreeMap.into_free(pres.free, pres.relations, p)
     pres.check()
     return pres
 
 
-def _minimal_kernel_generators(p, free, eval_fn, D):
-    """Minimal homogeneous generators of ker(evaluation) over F_p[u, v].
+def _minimal_kernel_generators(fmap, D):
+    """Minimal homogeneous generators of ker(fmap) over F_p[u, v], as
+    (degree, vector over the source slice basis).
 
     New generators in degree d span ker_d modulo u*ker_{d-1} + v*ker_{d-1}.
     """
+    free, p = fmap.source, fmap.p
     gens = []
-    prev_kernel = None
+    prev_kernel = ()
     for d in range(D + 1):
-        E = eval_fn(d)
-        ker = fp.nullspace(E, p)  # rows spanning ker_d
+        ker = fp.nullspace(fmap(d), p)  # rows spanning ker_d
         span = fp.Span(free.dim(d), p)
-        if prev_kernel is not None and len(prev_kernel):
+        if len(prev_kernel):
             for var in (0, 1):
                 shift = free.shift(d - 1, var)
                 for w in prev_kernel:
                     span.add(shift @ w)
-        cands = [np.asarray(w, dtype=np.int64) for w in ker]
-        gens.extend((d, [int(x) for x in c]) for c in cands if span.add(c))
-        prev_kernel = cands
+        gens.extend((d, [int(x) for x in c]) for c in ker if span.add(c))
+        prev_kernel = ker
     return gens
 
 
@@ -272,73 +269,21 @@ def minimal_free_resolution(P):
     the degree reached).
     """
     p, D = P.p, P.horizon
-    free1 = FreeBasis(P.relation_degrees())
-    rel_vecs = [np.asarray(v, dtype=np.int64) for _, v in P.relations]
-
-    eval1_cache = {}
-
-    def eval1(d):
-        # free module on the relations -> slice d of F_0's free module
-        if d in eval1_cache:
-            return eval1_cache[d]
-        basis = free1.basis(d)
-        out = np.zeros((P.free.dim(d), len(basis)), dtype=np.int64)
-        if d > 0 and any(rd < d for rd in free1.gen_degrees):
-            prev = eval1(d - 1)
-            pb = free1.basis(d - 1)
-            su = P.free.shift(d - 1, 0)
-            sv = P.free.shift(d - 1, 1)
-        for j, (i, a, b) in enumerate(basis):
-            if a == 0 and b == 0:
-                out[:, j] = rel_vecs[i]
-            elif a > 0:
-                out[:, j] = su @ prev[:, pb.index((i, a - 1, b))]
-            else:
-                out[:, j] = sv @ prev[:, pb.index((i, a, b - 1))]
-        out %= p
-        eval1_cache[d] = out
-        return out
-
-    syz = _minimal_kernel_generators(p, free1, eval1, D)
+    free1 = P.relation_map.source
+    syz = _minimal_kernel_generators(P.relation_map, D)
 
     # minimality: no differential entry is a unit (no constant coefficients)
-    for d, vec in P.relations:
-        for j, (i, a, b) in enumerate(P.free.basis(d)):
-            if a == 0 and b == 0 and vec[j] % p:
-                raise ValueError("presentation not minimal: unit entry")
-    for d, vec in syz:
-        for j, (i, a, b) in enumerate(free1.basis(d)):
-            if a == 0 and b == 0 and vec[j] % p:
-                raise ValueError("resolution not minimal: unit entry")
+    for free, gens, what in ((P.free, P.relations, "presentation"),
+                             (free1, syz, "resolution")):
+        for d, vec in gens:
+            if any(vec[j] % p for j, (_, a, b) in enumerate(free.basis(d))
+                   if a == b == 0):
+                raise ValueError("%s not minimal: unit entry" % what)
 
     # third syzygies must be zero: the F_2 evaluation map is injective
-    free2 = FreeBasis([d for d, _ in syz])
-    syz_vecs = [np.asarray(v, dtype=np.int64) for _, v in syz]
-    eval2_cache = {}
-
-    def eval2(d):
-        if d in eval2_cache:
-            return eval2_cache[d]
-        basis = free2.basis(d)
-        out = np.zeros((free1.dim(d), len(basis)), dtype=np.int64)
-        if d > 0 and any(sd < d for sd in free2.gen_degrees):
-            prev = eval2(d - 1)
-            pb = free2.basis(d - 1)
-            su = free1.shift(d - 1, 0)
-            sv = free1.shift(d - 1, 1)
-        for j, (i, a, b) in enumerate(basis):
-            if a == 0 and b == 0:
-                out[:, j] = syz_vecs[i]
-            elif a > 0:
-                out[:, j] = su @ prev[:, pb.index((i, a - 1, b))]
-            else:
-                out[:, j] = sv @ prev[:, pb.index((i, a, b - 1))]
-        out %= p
-        eval2_cache[d] = out
-        return out
-
+    syz_map = FreeMap.into_free(free1, syz, p)
     for d in range(D + 1):
-        E2 = eval2(d)
+        E2 = syz_map(d)
         if E2.shape[1] and fp.rank(E2.T, p) != E2.shape[1]:
             raise HorizonError("third syzygies persist at degree %d" % d, degree=d)
 
@@ -367,8 +312,7 @@ def hilbert_series(P, D=None):
         raise HorizonError("requested degree beyond the horizon", degree=P.horizon)
     out = []
     for d in range(D + 1):
-        R = P.relation_matrix(d)
-        dim = P.free.dim(d) - fp.rank(R, P.p)
+        dim = P.free.dim(d) - fp.rank(P.relation_map(d), P.p)
         if dim != P.dims[d]:
             raise VerificationError("presentation disagrees with the dimension table")
         out.append(dim)

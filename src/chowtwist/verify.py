@@ -298,24 +298,16 @@ def cor_res_checks(G, modules, max_degree=3):
     return out
 
 
-def _restrict_subgroup_cochain(G, module, big, small, f, n):
-    """Restrict a cochain over big.as_group() to small <= big.
+def _subgroup_inside(module, big, small):
+    """(H, M|H, small inside H) for subgroups small <= big, H = big.as_group().
 
-    Subgroup presentations sort elements by parent index, so the result is
-    directly comparable to any other cochain over small's presentation.
+    Subgroup presentations sort elements by parent index, so cochains over
+    the returned subgroup's presentation are directly comparable to any
+    other cochain over small's presentation.
     """
-    MH, H, embedH = restrict(module, big)
-    posH = {e: i for i, e in enumerate(embedH)}
-    small_in_H = H.subgroup([posH[e] for e in small.elements])
-    return coh.restriction_cochain(H, MH, small_in_H, f, n)
-
-
-def _corestrict_subgroup_cochain(G, module, big, small, f, n):
-    """Transfer a cochain over small.as_group() up to big <= G."""
-    MK, K, embedK = restrict(module, big)
-    posK = {e: i for i, e in enumerate(embedK)}
-    small_in_K = K.subgroup([posK[e] for e in small.elements])
-    return coh.corestriction_cochain(K, MK, small_in_K, f, n)
+    MH, H, embed = restrict(module, big)
+    pos = {e: i for i, e in enumerate(embed)}
+    return H, MH, H.subgroup([pos[e] for e in small.elements])
 
 
 def double_coset_checks(G, modules, max_degree=2):
@@ -345,10 +337,11 @@ def double_coset_checks(G, modules, max_degree=2):
                             # L = g^{-1} K g cap H, conjugate of the stored
                             # intersection K cap g H g^{-1}
                             L = inter.conjugate(G.inv(g))
-                            fL = _restrict_subgroup_cochain(G, M, subH, L, f, n)
+                            fL = coh.restriction_cochain(
+                                *_subgroup_inside(M, subH, L), f, n)
                             cf, tgt = coh.conjugation_cochain(G, M, L, g, fL, n)
-                            rhs = rhs + _corestrict_subgroup_cochain(
-                                G, M, subK, tgt, cf, n)
+                            rhs = rhs + coh.corestriction_cochain(
+                                *_subgroup_inside(M, subK, tgt), cf, n)
                         diff = (lhs - rhs) % p
                         if diff.any() and not fp.Span(len(diff), p,
                                                       cobK).contains(diff):

@@ -41,6 +41,11 @@ def test_tate_negative_range(capsys):
     assert code == 0
     lines = [l for l in out.strip().splitlines() if l and not l.startswith("degree")]
     assert len(lines) == 5
+    # JSON labels each result with its Tate degree, also below -1
+    code, out = run(capsys, ["tate", "--group", "C4", "--module", "trivialZ",
+                             "--degree=-3..3", "--format", "json"])
+    assert code == 0
+    assert [r["degree"] for r in json.loads(out)["results"]] == list(range(-3, 4))
 
 
 def test_twisted_chow_klein_omega(capsys):
@@ -100,11 +105,50 @@ def test_coflasque_predicate_and_resolve(capsys):
     assert code == 0
 
 
+def _graded_table(betti, dims):
+    lines = ["index  count  degrees"]
+    lines += ["%-5d  %-5d  %s" % (k, len(d), " ".join(map(str, d)))
+              for k, d in enumerate(betti)]
+    lines += ["", "degree  dim"] + ["%-6d  %d" % (d, h) for d, h in enumerate(dims)]
+    return "\n".join(lines + ["", "regularity: 0", "alternating-sum identity: ok", ""])
+
+
+def _graded_json(module, betti, dims, relations):
+    """Payload of `graded` for generators in degree 0 and relations in
+    degree 1, each relation a list of (generator, u, v) with coefficient 1."""
+    rels = [{"degree": 1, "entries": [{"coeff": 1, "generator": i, "u": a, "v": b}
+                                      for i, a, b in r]} for r in relations]
+    return {"betti": {"horizon": len(dims) - 1,
+                      "levels": [{"degrees": d, "index": k} for k, d in enumerate(betti)]},
+            "command": "graded", "euler_identity": True, "group": "Klein4",
+            "hilbert": {"dims": dims}, "module": module,
+            "presentation": {"base": "F2[u,v]", "dims": dims,
+                             "generators": [{"degree": 0, "index": i}
+                                            for i in range(len(betti[0]))],
+                             "relations": rels},
+            "regularity": 0}
+
+
+GRADED_CASES = [
+    ("omega:-3", "OmegaNeg3", [[0] * 4, [1, 1]], [4 + 2 * d for d in range(10)],
+     [[(0, 1, 0), (2, 0, 1)], [(1, 1, 0), (3, 0, 1)]]),
+    ("omega:2", "Omega(Omega(triv))", [[0, 0], [1] * 4, [2, 2]], [2] + [0] * 8,
+     [[(0, 1, 0)], [(0, 0, 1)], [(1, 1, 0)], [(1, 0, 1)]]),
+    ("l_zeta:x:2", "L_zeta^2", [[0, 0], [1, 1]], [2] * 8,
+     [[(0, 1, 0)], [(1, 1, 0)]]),
+]
+
+
 def test_graded_command(capsys):
-    code, out = run(capsys, ["graded", "--group", "klein4",
-                             "--module", "omega:-3"])
-    assert code == 0
-    assert "regularity" in out.lower()
+    for module, name, betti, dims, relations in GRADED_CASES:
+        argv = ["graded", "--group", "klein4", "--module", module]
+        code, out = run(capsys, argv)
+        assert code == 0
+        assert out == _graded_table(betti, dims)
+        code, out = run(capsys, argv + ["--format", "json"])
+        assert code == 0
+        expected = _graded_json(name, betti, dims, relations)
+        assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
 
 
 def test_verify_regularity(capsys):

@@ -85,6 +85,22 @@ def test_homology_and_negative_tate():
             f(G, T, -1)
 
 
+def test_homology_dual_to_cohomology_mod_p():
+    # over a field, H_n(G, M) is dual to H^n(G, M*); on nonabelian Q8 this
+    # pins the orientation of every block of the boundary matrices
+    Q8, C6 = make_quaternion(3), make_cyclic(6)
+    modules = [gm.make_augmentation_quotient(Q8).change_ring_mod(2),
+               gm.make_omega2_trivial(Q8).change_ring_mod(2),
+               gm.omega_negative_klein(2),
+               gm.make_augmentation_quotient(C6).change_ring_mod(3)]
+    for M in modules:
+        G = M.group
+        for n in (1, 2):
+            homology = coh.bar_homology(G, M, n)
+            assert homology.degree == n
+            assert homology.dim == coh.bar_cohomology(G, M.dual(), n).dim, (M.name, n)
+
+
 def test_tate_two_periodicity():
     G = make_cyclic(4)
     for M in (gm.make_trivial(G), gm.make_sign_cyclic(G)):

@@ -3,7 +3,7 @@ import pytest
 
 from chowtwist import gmodules as gm
 from chowtwist import graded
-from chowtwist.errors import HorizonError
+from chowtwist.errors import HorizonError, VerificationError
 from chowtwist.groups import make_klein4
 
 
@@ -133,3 +133,31 @@ def test_betti_table_serialization():
     assert [lv["degrees"] for lv in j["levels"]] == [[0], [1, 1], [2]]
     txt = B.to_text()
     assert "index" in txt and "degrees" in txt
+
+
+def test_unit_relation_entry_rejected():
+    # F_2[u, v] on two degree-0 generators with the same image, tied by the
+    # degree-0 relation g0 + g1: a valid presentation, but not a minimal one
+    D = 6
+    dims, u_maps, v_maps = _free_rank_one(D)
+    P = graded.GradedModulePresentation(2, dims, u_maps, v_maps, [0, 0],
+                                        [[1], [1]], [(0, [1, 1])])
+    assert P.check()
+    assert graded.hilbert_series(P) == dims
+    with pytest.raises(ValueError, match="presentation not minimal"):
+        graded.minimal_free_resolution(P)
+
+
+def test_inconsistent_presentations_rejected():
+    dims, u_maps, v_maps = _free_rank_one(4)
+    # a relation that does not evaluate to zero
+    P = graded.GradedModulePresentation(2, dims, u_maps, v_maps, [0], [[1]],
+                                        [(1, [1, 0])])
+    with pytest.raises(ValueError, match="evaluate to zero"):
+        P.check()
+    with pytest.raises(VerificationError):
+        graded.hilbert_series(P)
+    # a generator that misses half of a two-dimensional degree-0 module
+    P = graded.GradedModulePresentation(2, [2], [], [], [0], [[1, 0]], [])
+    with pytest.raises(ValueError, match="not surjective"):
+        P.check()
