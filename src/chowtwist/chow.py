@@ -11,6 +11,8 @@ group.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import cohomology as coh
@@ -212,7 +214,8 @@ def _subgroup_structure(space, classes):
     if k == 0 or not mods:
         return FiniteAbelianGroup([], 0)
     rows = [[classes[j][t] for j in range(k)] for t in range(len(mods))]
-    free, factors = intlin.quotient_structure(k, intlin.kernel_mod(rows, mods))
+    free, factors = intlin.quotient_structure(k, intlin.kernel_mod(rows, mods),
+                                              math.lcm(*mods))
     if free:
         raise VerificationError("evaluation kernel has corank %d, not 0" % free)
     return FiniteAbelianGroup(factors, 0)
@@ -387,8 +390,7 @@ def twisted_motivic_klein(module, i, resolutions=None):
         A = res1.Q
         res2 = coflasque_resolution(A)
         # composite P -> A -> B; q_basis holds A's basis in B coordinates
-        a_in_b = np.array(res1.q_basis, dtype=np.int64).T
-        psi = a_in_b @ res2.surjection
+        psi = intlin.product(np.array(res1.q_basis).T, res2.surjection)
         target_pieces = [s for s, _ in res1.pieces]
         source_pieces = [s for s, _ in res2.pieces]
     else:
@@ -425,8 +427,7 @@ def twisted_motivic_klein_explicit(m, i):
     """Same pipeline but on the explicit counterexample resolutions."""
     data = counterexample_lattices(m)
     G = data.module.group
-    a_in_b = np.array(data.a_basis, dtype=np.int64).T
-    psi = a_in_b @ data.p_to_a
+    psi = intlin.product(np.array(data.a_basis).T, data.p_to_a)
     target_pieces = ([G.trivial_subgroup()] * m) + ([G.full_subgroup()] * (m + 1))
     source_pieces = [H for H, _ in data.p_pieces]
     return twisted_motivic_klein(data.module, i,

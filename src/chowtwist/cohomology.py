@@ -195,7 +195,7 @@ def _finite_homology(degree, module, dim, d_in, d_out):
         return CohomologyResult(degree, module.ring, dim=dim - sum(ranks))
     factors = []
     if d_in is not None:
-        factors, _ = intlin.invariant_factors([[int(x) for x in r] for r in d_in()])
+        factors, _ = intlin.invariant_factors(d_in(), module.group.order)
     return CohomologyResult(degree, "Z", structure=FiniteAbelianGroup(factors, 0))
 
 
@@ -223,7 +223,7 @@ def bar_homology(group, module, n):
     d1 = BarComplex(group, module).complete_map(-2)
     if module.p:
         return CohomologyResult(0, module.ring, dim=module.rank - fp.rank(d1, module.p))
-    factors, rank = intlin.invariant_factors([[int(x) for x in r] for r in d1])
+    factors, rank = intlin.invariant_factors(d1, group.order)
     return CohomologyResult(0, "Z", structure=FiniteAbelianGroup(factors, module.rank - rank))
 
 
@@ -448,12 +448,10 @@ class IntegralClassSpace:
 
     def class_of(self, cocycle):
         """Coordinates of a cocycle in the torsion factors of H^n."""
-        w = intlin.mat_vec(self.U, [int(x) for x in cocycle])
-        rank = len(self.diag)
-        for j in range(rank, self.m):
-            if w[j] != 0:
-                raise ValueError("vector is not a cocycle (free cokernel coordinate)")
-        return tuple(w[j] % self.diag[j] for j in self.torsion_slots)
+        w = intlin.product(self.U, cocycle)
+        if w[len(self.diag):].any():
+            raise ValueError("vector is not a cocycle (free cokernel coordinate)")
+        return tuple(int(w[j]) % self.diag[j] for j in self.torsion_slots)
 
     def element_order(self, cls):
         ord_ = 1

@@ -91,12 +91,31 @@ class Span:
     """
 
     def __init__(self, n, p, rows=()):
+        """Span of the given rows, reduced together in one elimination.
+
+        Unlike rref, each pivot updates all the rows it hits in one step;
+        rref keeps its per-row loop because the bar matrices it gets are
+        large enough for those temporaries to show in peak memory.
+        """
         self.n = n
         self.p = p
         self.cols = []  # pivot column of each stored row
-        self.rows = np.zeros((0, n), dtype=np.int64)
-        for row in rows:
-            self.add(row)
+        R = asmod(rows, p).reshape(len(rows), n)
+        for col in range(n):
+            top = len(self.cols)
+            if top == len(R):
+                break
+            nz = np.flatnonzero(R[top:, col])
+            if nz.size == 0:
+                continue
+            piv = top + int(nz[0])
+            R[[top, piv]] = R[[piv, top]]
+            R[top] = (R[top] * _inv_mod(R[top, col], p)) % p
+            hit = np.flatnonzero(R[:, col])
+            hit = hit[hit != top]
+            R[hit] = (R[hit] - np.outer(R[hit, col], R[top])) % p
+            self.cols.append(col)
+        self.rows = R[:len(self.cols)].copy()
 
     @property
     def rank(self):

@@ -142,7 +142,7 @@ class GModule:
             return FiniteAbelianGroup([], 0)
         # write each tr(e_j) in the fixed basis, then take the cokernel
         cols = intlin.lattice_coords(fixed, tr.T, self.rank)
-        free_rank, factors = intlin.quotient_structure(k, cols)
+        free_rank, factors = intlin.quotient_structure(k, cols, self.group.order)
         return FiniteAbelianGroup(factors, free_rank)
 
     def dual(self):

@@ -212,12 +212,11 @@ def _minimal_kernel_generators(fmap, D):
     prev_kernel = ()
     for d in range(D + 1):
         ker = fp.nullspace(fmap(d), p)  # rows spanning ker_d
-        span = fp.Span(free.dim(d), p)
+        shifted = ()  # u * ker_{d-1} and v * ker_{d-1}, as rows
         if len(prev_kernel):
-            for var in (0, 1):
-                shift = free.shift(d - 1, var)
-                for w in prev_kernel:
-                    span.add(shift @ w)
+            shifted = np.vstack([prev_kernel @ free.shift(d - 1, var).T
+                                 for var in (0, 1)])
+        span = fp.Span(free.dim(d), p, shifted)
         gens.extend((d, [int(x) for x in c]) for c in ker if span.add(c))
         prev_kernel = ker
     return gens

@@ -1,15 +1,32 @@
 """Exact linear algebra over the integers.
 
-Everything here works on plain Python ints, so intermediate entries can grow
-past 64 bits without overflow (bar-resolution matrices for the order-8
-quaternion group do exactly that during elimination).
+Column echelon, lattices and the Smith normal form work on plain Python
+ints, so intermediate entries can grow past 64 bits without overflow
+(bar-resolution matrices for the order-8 quaternion group do exactly that
+during elimination).  Matrices there are lists of rows unless a name says
+otherwise.  The column-echelon reduction yields saturated kernel bases and
+exact solves.
 
-Matrices are lists of rows unless a name says otherwise.  The workhorse is a
-column-echelon reduction that yields saturated kernel bases and exact solves;
-full Smith normal form is used for invariant factors of quotient lattices.
+Invariant factors of finite quotients come from a modular kernel instead:
+the caller passes an exponent that every nonzero invariant factor divides,
+and elimination runs in int64 numpy arrays modulo small prime powers
+(Iliopoulos, SIAM J. Comput. 18, 1989; Dumas-Saunders-Villard, J. Symb.
+Comput. 32, 2001).  The Smith normal form stays for its row transform,
+which it keeps as a numpy array, and as the reference the tests compare
+against.  Products of numpy matrices that may grow go through product(),
+which switches to exact Python ints before int64 could wrap.
 """
 
 from __future__ import annotations
+
+import numpy as np
+
+from .errors import VerificationError
+
+# int64 arithmetic is exact while every intermediate stays below this
+_INT64_SAFE = 1 << 62
+# rows per elimination update: bounds the temporaries, which peak RSS sees
+_ROW_BLOCK = 64
 
 
 def xgcd(a, b):
@@ -43,6 +60,22 @@ def mat_mult(A, B):
 
 def mat_vec(A, v):
     return [sum(a * x for a, x in zip(row, v)) for row in A]
+
+
+def _max_abs(a):
+    return max(int(a.max()), -int(a.min())) if a.size else 0
+
+
+def product(A, B):
+    """Exact A @ B of integer arrays (or nested lists).
+
+    In int64 when max|A| * max|B| * (inner dimension) < 2^62, so no sum of
+    products can wrap; otherwise in Python ints, as an object array.
+    """
+    A, B = np.asarray(A), np.asarray(B)
+    if _max_abs(A) * _max_abs(B) * A.shape[-1] < _INT64_SAFE:
+        return A.astype(np.int64, copy=False) @ B.astype(np.int64, copy=False)
+    return A.astype(object) @ B.astype(object)
 
 
 class ColumnEchelon:
@@ -230,36 +263,43 @@ class IntLattice:
 def smith_normal_form(rows, want_u=False):
     """Diagonal of the Smith normal form of A, with divisibility d1 | d2 | ...
 
-    Returns (diag, u).  With want_u, u is the row transform: (u @ x)[j] is
-    the j-th cokernel coordinate of an ambient vector x (read mod diag[j]
-    for torsion slots).
+    Returns (diag, u).  With want_u, u is the row transform as a numpy
+    array: (u @ x)[j] is the j-th cokernel coordinate of an ambient vector x
+    (read mod diag[j] for torsion slots).  u is int64 while its rows' entries
+    stay below 2^62 in absolute value, and an exact object array after.
     """
     A = [list(row) for row in rows]
     m = len(A)
     n = len(A[0]) if m else 0
-    U = identity_matrix(m) if want_u else None
+    U = np.eye(m, dtype=np.int64) if want_u else None
+    bound = [1] * m  # max |entry| of each row of U, from above
 
     def row_sub(i, j, q):
         # row_i -= q * row_j ; U row_i -= q * U row_j
+        nonlocal U
         Ai, Aj = A[i], A[j]
         for k in range(n):
             if Aj[k]:
                 Ai[k] -= q * Aj[k]
         if U is not None:
-            Ui, Uj = U[i], U[j]
-            for k in range(m):
-                if Uj[k]:
-                    Ui[k] -= q * Uj[k]
+            if U.dtype != object and bound[i] + abs(q) * bound[j] >= _INT64_SAFE:
+                # the running bounds overshoot: retake them from the rows
+                bound[i], bound[j] = _max_abs(U[i]), _max_abs(U[j])
+                if bound[i] + abs(q) * bound[j] >= _INT64_SAFE:
+                    U = U.astype(object)
+            bound[i] += abs(q) * bound[j]
+            U[i] -= q * U[j]
 
     def row_swap(i, j):
         A[i], A[j] = A[j], A[i]
         if U is not None:
-            U[i], U[j] = U[j], U[i]
+            U[[i, j]] = U[[j, i]]
+            bound[i], bound[j] = bound[j], bound[i]
 
     def row_neg(i):
         A[i] = [-x for x in A[i]]
         if U is not None:
-            U[i] = [-x for x in U[i]]
+            U[i] = -U[i]
 
     def col_sub(i, j, q):
         for r in range(m):
@@ -323,18 +363,122 @@ def smith_normal_form(rows, want_u=False):
     return diag, U
 
 
-def invariant_factors(rows):
-    """Nontrivial invariant factors (each >= 2, in a dividing chain) and rank."""
-    diag, _ = smith_normal_form(rows)
-    return [d for d in diag if d != 1], len(diag)
+def _prime_powers(n):
+    """[(p, k)] with p^k exactly dividing n, p ascending."""
+    out = []
+    p = 2
+    while p * p <= n:
+        k = 0
+        while n % p == 0:
+            n //= p
+            k += 1
+        if k:
+            out.append((p, k))
+        p += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
 
 
-def quotient_structure(dim, cols):
+def _rank_prime(exponent):
+    """The largest prime below 2^15 that does not divide the exponent."""
+    ell = 1 << 15
+    while True:
+        ell -= 1
+        if exponent % ell and all(ell % d for d in range(2, 182)):  # 181^2 < 2^15
+            return ell
+
+
+def _residues(rows, q):
+    """Working int64 copy of the matrix with entries reduced mod q, taken
+    with the fewer columns (invariant factors ignore transposition)."""
+    if isinstance(rows, np.ndarray) and rows.dtype != object:
+        W = np.mod(rows, q).astype(np.int64, copy=False)
+    else:
+        W = np.array([[int(x) % q for x in row] for row in rows], dtype=np.int64)
+    return np.ascontiguousarray(W.T) if W.shape[1] > W.shape[0] else W
+
+
+def _pivot_counts(rows, p, levels):
+    """Number of invariant factors of each p-adic valuation 0..levels-1.
+
+    Elimination over Z/p^levels with unit pivots: a pivot found at level v
+    is one factor of valuation exactly v.  When no unit is left in the
+    remaining rows they are all divisible by p, so they are divided by p
+    and the next level starts.
+    """
+    q = p ** levels
+    W = _residues(rows, q)
+    live = W.shape[0]  # rows W[:live] have no pivot yet
+    counts = []
+    for level in range(levels):
+        found = 0
+        for c in range(W.shape[1]):
+            if not live:
+                break
+            col = W[:live, c]
+            units = np.flatnonzero(col % p)
+            if not units.size:
+                # no later row operation of this level makes a unit here
+                continue
+            r = int(units[0])
+            others = np.flatnonzero(col)
+            others = others[others != r]
+            f = col[others] * pow(int(col[r]), -1, q) % q
+            # whole rows: columns swept earlier must follow too
+            for s in range(0, others.size, _ROW_BLOCK):
+                hit = others[s:s + _ROW_BLOCK]
+                W[hit] = (W[hit] - f[s:s + _ROW_BLOCK, None] * W[r]) % q
+            live -= 1
+            if r != live:
+                W[[r, live]] = W[[live, r]]
+            found += 1
+        counts.append(found)
+        if level + 1 < levels and live:
+            W[:live] //= p
+            q //= p
+    return counts
+
+
+def invariant_factors(rows, exponent):
+    """Nontrivial invariant factors (each >= 2, in a dividing chain) and rank
+    of an integer matrix whose nonzero invariant factors all divide exponent.
+
+    The rank is taken modulo a prime that does not divide the exponent, and
+    the p-part of the factors over Z/p^(k+1) for each p^k exactly dividing
+    it.  A factor whose p-part exceeds p^k shows as a missing pivot and
+    raises VerificationError; a factor with a prime outside the exponent
+    goes unseen, so the exponent must be a true bound.
+    """
+    if exponent < 1:
+        raise ValueError("exponent must be a positive integer")
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    if not m or not n:
+        return [], 0
+    rank = _pivot_counts(rows, _rank_prime(exponent), 1)[0]
+    factors = [1] * rank
+    for p, k in _prime_powers(exponent):
+        if p ** (k + 1) >= 1 << 31:
+            raise ValueError("exponent %d has a prime power too large for int64"
+                             " elimination" % exponent)
+        counts = _pivot_counts(rows, p, k + 1)
+        if sum(counts) != rank:
+            raise VerificationError(
+                "an invariant factor has %d-valuation above %d: the exponent %d"
+                " does not kill the quotient" % (p, k, exponent))
+        # valuations ascending, so slot i gets the i-th smallest p-part
+        vals = [v for v, c in enumerate(counts) for _ in range(c)]
+        factors = [d * p ** v for d, v in zip(factors, vals)]
+    return [d for d in factors if d != 1], rank
+
+
+def quotient_structure(dim, cols, exponent):
     """Structure of Z^dim / (lattice spanned by the given column vectors),
-    as (free_rank, factors)."""
+    as (free_rank, factors); exponent kills its torsion."""
     if not cols:
         return dim, []
-    factors, rank = invariant_factors([[c[r] for c in cols] for r in range(dim)])
+    factors, rank = invariant_factors(cols, exponent)
     return dim - rank, factors
 
 

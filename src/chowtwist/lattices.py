@@ -28,8 +28,8 @@ def h1_lattice(module, subgroup=None):
               for h in elements if h != G.identity]
     if not blocks or module.rank == 0:
         return FiniteAbelianGroup([], 0)
-    stacked = np.vstack(blocks)
-    factors, _ = intlin.invariant_factors([[int(x) for x in r] for r in stacked])
+    order = subgroup.order if subgroup is not None else G.order
+    factors, _ = intlin.invariant_factors(np.vstack(blocks), order)
     return FiniteAbelianGroup(factors, 0)
 
 

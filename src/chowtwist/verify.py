@@ -298,14 +298,15 @@ def cor_res_checks(G, modules, max_degree=3):
     return out
 
 
-def _subgroup_inside(module, big, small):
-    """(H, M|H, small inside H) for subgroups small <= big, H = big.as_group().
+def _subgroup_inside(restricted, small):
+    """(H, M|H, small inside H) for subgroups small <= big, given
+    restricted = restrict(M, big), so H = big.as_group().
 
     Subgroup presentations sort elements by parent index, so cochains over
     the returned subgroup's presentation are directly comparable to any
     other cochain over small's presentation.
     """
-    MH, H, embed = restrict(module, big)
+    MH, H, embed = restricted
     pos = {e: i for i, e in enumerate(embed)}
     return H, MH, H.subgroup([pos[e] for e in small.elements])
 
@@ -318,14 +319,15 @@ def double_coset_checks(G, modules, max_degree=2):
     out = []
     for M in modules:
         p = M.p
+        restricted = {S: restrict(M, S) for S in G.subgroups()}
         for n in range(1, max_degree + 1):
             for subH in G.subgroups():
-                MH, H, _ = restrict(M, subH)
+                MH, H, _ = restricted[subH]
                 bcH = coh.BarComplex(H, MH)
                 dn = bcH.delta_matrix(n)
                 cocyclesH = fp.nullspace(dn, p)
                 for subK in G.subgroups():
-                    MK, K, _ = restrict(M, subK)
+                    MK, K, _ = restricted[subK]
                     bcK = coh.BarComplex(K, MK)
                     cobK = _coboundary_rows(bcK, n, p)
                     good = True
@@ -338,10 +340,10 @@ def double_coset_checks(G, modules, max_degree=2):
                             # intersection K cap g H g^{-1}
                             L = inter.conjugate(G.inv(g))
                             fL = coh.restriction_cochain(
-                                *_subgroup_inside(M, subH, L), f, n)
+                                *_subgroup_inside(restricted[subH], L), f, n)
                             cf, tgt = coh.conjugation_cochain(G, M, L, g, fL, n)
                             rhs = rhs + coh.corestriction_cochain(
-                                *_subgroup_inside(M, subK, tgt), cf, n)
+                                *_subgroup_inside(restricted[subK], tgt), cf, n)
                         diff = (lhs - rhs) % p
                         if diff.any() and not fp.Span(len(diff), p,
                                                       cobK).contains(diff):

@@ -5,7 +5,7 @@ import pytest
 
 from chowtwist import chow
 from chowtwist import cohomology as coh
-from chowtwist import fp
+from chowtwist import fp, intlin
 from chowtwist import gmodules as gm
 from chowtwist.errors import ResourceCapError
 from chowtwist.groups import make_cyclic, make_klein4, make_quaternion
@@ -161,6 +161,19 @@ def test_character_chern_order():
     chi = {g: Fraction(g, 4) for g in range(4)}  # faithful: sigma^g -> g/4
     cls = space.class_of(coh.character_chern(G, chi))
     assert space.element_order(cls) == 4
+
+
+def test_class_of_exact_product_agrees_with_int64():
+    G = make_cyclic(4)
+    space = coh.IntegralClassSpace(G, gm.make_trivial(G), 2)
+    z = coh.character_chern(G, {g: Fraction(g, 4) for g in range(4)})
+    cls = space.class_of(z)
+    # adding a huge coboundary keeps the class but forces the exact product
+    cob = space.bc.delta_matrix(1)[:, 0].astype(object)
+    big = z.astype(object) + (1 << 70) * cob
+    assert intlin.product(space.U, big).dtype == object
+    assert space.class_of(big) == cls
+    assert space.class_of(list(big)) == cls
 
 
 def test_character_chern_nonfaithful():

@@ -2,12 +2,16 @@
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from chowtwist import f2, fp, intlin
+from chowtwist.errors import VerificationError
 from chowtwist.gmodules import _det_int
 
 
@@ -25,20 +29,110 @@ def test_snf_divisibility_and_invariance():
         assert len(diag) == intlin.ColumnEchelon(A).rank
 
 
+def _check_forward_transform(A, diag, u):
+    # u is unimodular and u A = D V^-1: row j is divisible by diag[j],
+    # and the rows past the rank vanish
+    u = u.tolist()  # exact Python ints, whatever the array's dtype
+    assert abs(_det_int(u)) == 1
+    for j, row in enumerate(intlin.mat_mult(u, A)):
+        if j < len(diag):
+            assert all(x % diag[j] == 0 for x in row)
+        else:
+            assert not any(row)
+
+
 def test_snf_forward_transform():
     rng = random.Random(2)
     for _ in range(10):
         m, n = rng.randint(2, 5), rng.randint(2, 5)
         A = _rand_matrix(rng, m, n)
         diag, u = intlin.smith_normal_form(A, want_u=True)
-        # u is unimodular and u A = D V^-1: row j is divisible by diag[j],
-        # and the rows past the rank vanish
-        assert abs(_det_int(u)) == 1
-        for j, row in enumerate(intlin.mat_mult(u, A)):
-            if j < len(diag):
-                assert all(x % diag[j] == 0 for x in row)
-            else:
-                assert not any(row)
+        assert u.dtype == np.int64
+        _check_forward_transform(A, diag, u)
+
+
+def test_snf_transform_switches_to_exact_ints():
+    # Euclid on consecutive Fibonacci numbers takes quotient 1 at every
+    # step, so the transform's entries grow like the Fibonacci numbers
+    fib = [0, 1]
+    while len(fib) < 100:
+        fib.append(fib[-1] + fib[-2])
+    A = [[fib[-1], 2], [fib[-2], 4], [0, 6]]
+    diag, u = intlin.smith_normal_form(A, want_u=True)
+    assert u.dtype == object
+    assert max(abs(x) for x in u.ravel()) >= 1 << 62
+    _check_forward_transform(A, diag, u)
+
+
+def _random_with_factors(rng, m, n, exponent):
+    """A random m x n matrix whose nonzero invariant factors divide the
+    exponent: a diagonal chain mixed by a few small row and column moves."""
+    divisors = [d for d in range(1, exponent + 1) if exponent % d == 0]
+    chain, d = [], 1
+    for _ in range(rng.randint(0, min(m, n))):
+        d = math.lcm(d, rng.choice(divisors))
+        chain.append(d)
+    A = np.zeros((m, n), dtype=np.int64)
+    for i, d in enumerate(chain):
+        A[i, i] = d
+    for _ in range(m + n):
+        if m > 1:
+            i, j = rng.sample(range(m), 2)
+            A[i] += rng.choice((-1, 1)) * A[j]
+        if n > 1:
+            i, j = rng.sample(range(n), 2)
+            A[:, i] += rng.choice((-1, 1)) * A[:, j]
+    return A
+
+
+@pytest.mark.parametrize("exponent", [1, 2, 6, 8, 9, 12, 30, 64])
+def test_modular_invariant_factors_match_snf(exponent):
+    rng = random.Random(exponent)
+    shapes = [(0, 0), (0, 3), (3, 0), (4, 4), (1, 7), (9, 2)]
+    shapes += [(rng.randint(1, 8), rng.randint(1, 8)) for _ in range(40)]
+    for m, n in shapes:
+        A = _random_with_factors(rng, m, n, exponent)
+        diag, _ = intlin.smith_normal_form(A.tolist())
+        want = ([d for d in diag if d != 1], len(diag))
+        assert intlin.invariant_factors(A, exponent) == want
+        assert intlin.invariant_factors(A.tolist(), exponent) == want
+    zero = np.zeros((3, 5), dtype=np.int64)
+    assert intlin.invariant_factors(zero, exponent) == ([], 0)
+    # entries far past int64 are reduced as Python ints first
+    big = [[exponent, 0], [exponent << 80, 1]]
+    diag, _ = intlin.smith_normal_form(big)
+    assert intlin.invariant_factors(big, exponent) == ([d for d in diag if d != 1],
+                                                       len(diag))
+
+
+def test_modular_invariant_factors_refuse_a_short_exponent():
+    with pytest.raises(VerificationError):
+        intlin.invariant_factors([[4]], 2)
+    # the refusal is a real exception, which python -O does not strip
+    code = ("from chowtwist import intlin\n"
+            "from chowtwist.errors import VerificationError\n"
+            "try:\n"
+            "    intlin.invariant_factors([[4]], 2)\n"
+            "except VerificationError as exc:\n"
+            "    print('raised:', exc)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    out = subprocess.run([sys.executable, "-O", "-c", code],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("raised: an invariant factor has 2-valuation"), \
+        out.stdout
+
+
+def test_bounded_product_is_exact():
+    A = np.array([[1 << 40, 3], [-5, 1 << 40]], dtype=np.int64)
+    small = intlin.product(A, np.array([[2], [7]]))
+    assert small.dtype == np.int64
+    assert small.tolist() == [[(1 << 41) + 21], [(7 << 40) - 10]]
+    big = intlin.product(A, A)  # int64 would wrap at 2^80
+    assert big.dtype == object
+    assert big.tolist() == intlin.mat_mult(A.tolist(), A.tolist())
 
 
 def test_kernel_saturated():
@@ -61,11 +155,11 @@ def test_solve_int():
 
 
 def test_quotient_structure():
-    free, fac = intlin.quotient_structure(2, [[2, 0], [0, 3]])
+    free, fac = intlin.quotient_structure(2, [[2, 0], [0, 3]], 6)
     assert free == 0 and fac == [6]  # Z/2 + Z/3 = Z/6
-    free, fac = intlin.quotient_structure(3, [[2, 0, 0]])
+    free, fac = intlin.quotient_structure(3, [[2, 0, 0]], 2)
     assert free == 2 and fac == [2]
-    free, fac = intlin.quotient_structure(2, [])
+    free, fac = intlin.quotient_structure(2, [], 1)
     assert free == 2 and fac == []
 
 
