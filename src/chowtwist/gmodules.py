@@ -123,7 +123,7 @@ class GModule:
         stacked = np.vstack([self.act(g) - np.eye(self.rank, dtype=np.int64) for g in gens])
         if self.p:
             return [list(v) for v in fp.nullspace(stacked, self.p)]
-        return intlin.kernel_basis([[int(x) for x in r] for r in stacked])
+        return intlin.kernel_basis(stacked)
 
     def fixed_dim(self):
         return len(self.fixed_points())
@@ -338,7 +338,7 @@ def random_cyclic_module(group, rank, rng=None, ring=RING_Z):
         gen_mat[off:off + d, off:off + d] = blk
         off += d
     U, Uinv = _random_unimodular(rank, rng)
-    gens = {group.generators[0]: U @ gen_mat @ Uinv}
+    gens = {group.generators[0]: intlin.product(intlin.product(U, gen_mat), Uinv)}
     return GModule(group, ring, rank, gens, check=True, name="rand")
 
 
@@ -383,7 +383,8 @@ def random_lattice(group, rng=None):
             pieces.append(P)
     M = pieces[0].direct_sum(*pieces[1:])
     U, Uinv = _random_unimodular(M.rank, rng)
-    gens = {g: U @ M.act(g) @ Uinv for g in group.generators}
+    gens = {g: intlin.product(intlin.product(U, M.act(g)), Uinv)
+            for g in group.generators}
     return GModule(group, RING_Z, M.rank, gens, check=False, name="randlat")
 
 
@@ -448,11 +449,16 @@ def _submodule_from_kernel(F, kernel_rows, name):
         if any(m is None for m in mats):
             raise RuntimeError("subspace is not stable under the action")
     else:
-        # one echelon of the basis; the images under every generator solved in it
-        imgs = (F.apply(g, v) for g in gens for v in K)
-        cols = intlin.lattice_coords(K, imgs, F.rank)
-        mats = [np.array(cols[i * k:(i + 1) * k], dtype=np.int64).reshape(k, k).T
-                for i in range(len(gens))]
+        # one echelon of the basis; the images under every generator solved
+        # in it at once, column i*k + j being generator i applied to K[j]
+        imgs = np.empty((F.rank, len(gens) * k), dtype=np.int64)
+        for i, g in enumerate(gens):
+            imgs[:, i * k:(i + 1) * k] = intlin.product(F.act(g), K.T)
+        X = intlin.ColumnEchelon(K.T).solve(imgs)
+        del imgs  # not held while the module below completes its action
+        if X is None:
+            raise RuntimeError("sublattice is not stable under the action")
+        mats = [X[:, i * k:(i + 1) * k] for i in range(len(gens))]
     return GModule(F.group, F.ring, k, dict(zip(gens, mats)), check=False, name=name)
 
 
@@ -482,7 +488,7 @@ def syzygy(M, gens=None):
         ker = fp.nullspace(S, M.p)
         ker_rows = [list(v) for v in ker]
     else:
-        ker_rows = intlin.kernel_basis([[int(x) for x in r] for r in S])
+        ker_rows = intlin.kernel_basis(S)
     return _submodule_from_kernel(F, ker_rows, "Omega(%s)" % M.name)
 
 

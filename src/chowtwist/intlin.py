@@ -1,11 +1,13 @@
 """Exact linear algebra over the integers.
 
-Column echelon, lattices and the Smith normal form work on plain Python
-ints, so intermediate entries can grow past 64 bits without overflow
-(bar-resolution matrices for the order-8 quaternion group do exactly that
-during elimination).  Matrices there are lists of rows unless a name says
-otherwise.  The column-echelon reduction yields saturated kernel bases and
-exact solves.
+The column echelon keeps its matrices in int64 numpy arrays while a running
+bound on their entries stays below 2^62, and switches to exact object
+arrays of Python ints when it would not, so intermediate entries can grow
+past 64 bits without overflow.  It yields saturated kernel bases and exact
+solves of many right-hand sides at once, and takes an integer array or a
+list of rows.  Lattices and the Smith normal form work on plain Python
+ints, as lists of rows (bar-resolution matrices for the order-8 quaternion
+group grow past 64 bits during that elimination).
 
 Invariant factors of finite quotients come from a modular kernel instead:
 the caller passes an exponent that every nonzero invariant factor divides,
@@ -25,7 +27,10 @@ from .errors import VerificationError
 
 # int64 arithmetic is exact while every intermediate stays below this
 _INT64_SAFE = 1 << 62
-# rows per elimination update: bounds the temporaries, which peak RSS sees
+# and float64 arithmetic on integers below this
+_FLOAT64_EXACT = 1 << 53
+# rows per elimination update, and right-hand sides per block of a column
+# echelon solve: bounds the temporaries, which peak RSS sees
 _ROW_BLOCK = 64
 
 
@@ -44,24 +49,6 @@ def xgcd(a, b):
     return g, x, y
 
 
-def identity_matrix(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mult(A, B):
-    """Exact product of two list-of-rows matrices."""
-    n = len(B)
-    if any(len(row) != n for row in A):
-        raise ValueError("inner dimensions of the product differ")
-    p = len(B[0]) if n else 0
-    Bc = [[B[i][j] for i in range(n)] for j in range(p)]
-    return [[sum(row[k] * col[k] for k in range(n)) for col in Bc] for row in A]
-
-
-def mat_vec(A, v):
-    return [sum(a * x for a, x in zip(row, v)) for row in A]
-
-
 def _max_abs(a):
     return max(int(a.max()), -int(a.min())) if a.size else 0
 
@@ -69,81 +56,100 @@ def _max_abs(a):
 def product(A, B):
     """Exact A @ B of integer arrays (or nested lists).
 
-    In int64 when max|A| * max|B| * (inner dimension) < 2^62, so no sum of
-    products can wrap; otherwise in Python ints, as an object array.
+    With s = max|A| * max|B| * (inner dimension), no sum of products can
+    exceed s.  The product is int64 while both factors fit and s < 2^62, and
+    Python ints, as an object array, after.  Two matrices with s < 2^53
+    multiply in float64 instead, where every partial sum is an integer that
+    float64 holds exactly and the product runs in BLAS; a matrix times a
+    vector gains nothing there and would pay for a float copy of A.
     """
     A, B = np.asarray(A), np.asarray(B)
-    if _max_abs(A) * _max_abs(B) * A.shape[-1] < _INT64_SAFE:
-        return A.astype(np.int64, copy=False) @ B.astype(np.int64, copy=False)
-    return A.astype(object) @ B.astype(object)
+    a, b = _max_abs(A), _max_abs(B)
+    bound = a * b * A.shape[-1]
+    if max(a, b) >= _INT64_SAFE or bound >= _INT64_SAFE:
+        return A.astype(object) @ B.astype(object)
+    if A.ndim == B.ndim == 2 and bound < _FLOAT64_EXACT:
+        Bf = B.astype(np.float64)
+        out = np.empty((A.shape[0], B.shape[1]), dtype=np.int64)
+        for s in range(0, A.shape[0], _ROW_BLOCK):
+            out[s:s + _ROW_BLOCK] = A[s:s + _ROW_BLOCK] @ Bf
+        return out
+    return A.astype(np.int64, copy=False) @ B.astype(np.int64, copy=False)
+
+
+def _as_matrix(rows):
+    """A 2-D integer array of a matrix given as an array or a list of rows:
+    int64 when every entry fits, an object array of Python ints otherwise."""
+    A = np.asarray(rows)
+    if A.ndim != 2:  # an empty list of rows
+        A = A.reshape(len(rows), 0)
+    if A.dtype.kind == "i" or not A.size:
+        return A.astype(np.int64, copy=False)
+    # entries past int64 make the array uint64, float64 or object
+    return np.array([[int(x) for x in row] for row in rows],
+                    dtype=object).reshape(A.shape)
+
+
+def _widen(a, bound, step):
+    """(a, bound) once every entry of a may have grown by step in absolute
+    value: the bound is retaken from a when the running one would pass
+    2^62, and a becomes an exact object array when the true one would."""
+    if a.dtype == object:
+        return a, bound
+    if bound + step >= _INT64_SAFE:
+        bound = _max_abs(a)
+        if bound + step >= _INT64_SAFE:
+            return a.astype(object), bound
+    return a, bound + step
 
 
 class ColumnEchelon:
     """Column echelon form A*V = E computed by unimodular column operations.
 
     Zero columns of E give a basis of ker(A); because V is unimodular the
-    kernel basis is automatically saturated.  With track_inverse=True the
-    inverse transform is kept so arbitrary vectors can be written in
-    V-coordinates.
+    kernel basis is automatically saturated.  E is kept transposed, as C
+    (C[c] is column c of E), and V as V[c] = column c of V; both are int64
+    while a running bound on their entries stays below 2^62, and exact
+    object arrays after.
     """
 
-    def __init__(self, rows, track_inverse=False):
-        m = len(rows)
-        n = len(rows[0]) if m else 0
+    def __init__(self, rows):
+        C = _as_matrix(rows).T.copy()
+        n, m = C.shape
         self.m, self.n = m, n
-        cols = [[rows[r][c] for r in range(m)] for c in range(n)]
-        V = [[1 if i == c else 0 for i in range(n)] for c in range(n)]
-        Vinv = identity_matrix(n) if track_inverse else None
-        active = list(range(n))
+        C, bound_c = _widen(C, 0, _max_abs(C))
+        V, bound_v = np.eye(n, dtype=C.dtype), 1
+        active = np.arange(n)
         pivots = []
-
-        def col_sub(c, j, q, r0):
-            cc, cj = cols[c], cols[j]
-            for r in range(r0, m):
-                if cj[r]:
-                    cc[r] -= q * cj[r]
-            vc, vj = V[c], V[j]
-            for i in range(n):
-                if vj[i]:
-                    vc[i] -= q * vj[i]
-            if Vinv is not None:
-                wj, wc = Vinv[j], Vinv[c]
-                for i in range(n):
-                    if wc[i]:
-                        wj[i] += q * wc[i]
-
         for r in range(m):
-            nz = [c for c in active if cols[c][r] != 0]
-            if not nz:
-                continue
-            while len(nz) > 1:
-                j = min(nz, key=lambda c: abs(cols[c][r]))
-                rest = []
-                for c in nz:
-                    if c == j:
-                        continue
-                    q = cols[c][r] // cols[j][r]
-                    if q:
-                        col_sub(c, j, q, r)
-                    if cols[c][r] != 0:
-                        rest.append(c)
-                nz = rest + [j]
-                if len(nz) == 1:
-                    break
-            p = nz[0]
-            if cols[p][r] < 0:
-                cols[p] = [-x for x in cols[p]]
-                V[p] = [-x for x in V[p]]
-                if Vinv is not None:
-                    Vinv[p] = [-x for x in Vinv[p]]
-            pivots.append((r, p))
-            active.remove(p)
-
-        self.cols = cols
+            nz = active[C[active, r] != 0]
+            while nz.size > 1:
+                # Euclid round: every other column drops by a multiple of the
+                # first one of least absolute value at row r; no multiple is
+                # zero, as no other value is smaller
+                size = np.abs(C[nz, r])
+                k = int(size.argmin())
+                j = nz[k]
+                others = nz[nz != j]
+                q = C[others, r, None] // C[j, r]
+                qmax = int(size.max()) // int(size[k]) + 1  # bounds |q|
+                C, bound_c = _widen(C, bound_c, qmax * _max_abs(C[j, r:]))
+                V, bound_v = _widen(V, bound_v, qmax * _max_abs(V[j]))
+                # columns in play are zero above row r
+                C[others, r:] -= q * C[j, r:]
+                V[others] -= q.astype(V.dtype, copy=False) * V[j]
+                nz = np.concatenate((others[C[others, r] != 0], nz[k:k + 1]))
+            if nz.size:
+                p = nz[0]
+                if C[p, r] < 0:
+                    C[p] = -C[p]
+                    V[p] = -V[p]
+                pivots.append((r, int(p)))
+                active = active[active != p]
+        self.C = C
         self.V = V
-        self.Vinv = Vinv
         self.pivots = pivots
-        self.kernel_cols = active
+        self.kernel_cols = active.tolist()
 
     @property
     def rank(self):
@@ -151,57 +157,61 @@ class ColumnEchelon:
 
     def kernel_basis(self):
         """Saturated basis of {x : A x = 0}, as a list of length-n vectors."""
-        return [list(self.V[c]) for c in self.kernel_cols]
+        return self.V[self.kernel_cols].tolist()
 
-    def solve(self, b):
-        """One integer solution x of A x = b, or None."""
-        res = list(b)
-        y = [0] * self.n
-        for r, c in self.pivots:
-            piv = self.cols[c][r]
-            if res[r] % piv != 0:
+    def solve(self, B):
+        """Integer X with A X = B for a matrix B of right-hand sides (one per
+        column), as an n x N array; None if some column has no solution.
+
+        Forward substitution along the pivots and one product with V, for
+        _ROW_BLOCK right-hand sides at a time.
+        """
+        C = self.C
+        B = _as_matrix(B)
+        if C.dtype == object:
+            B = B.astype(object)
+        N = B.shape[1]
+        steps = [(r, c, np.flatnonzero(C[c]), _max_abs(C[c]))
+                 for r, c in self.pivots]
+        X = np.zeros((self.n, N), dtype=B.dtype)
+        for s in range(0, N, _ROW_BLOCK):
+            R = B[:, s:s + _ROW_BLOCK].copy()
+            R, bound = _widen(R, 0, _max_abs(R))
+            Y = np.zeros((self.n, R.shape[1]), dtype=R.dtype)
+            for r, c, rows, cmax in steps:
+                piv = C[c, r]
+                if (R[r] % piv).any():
+                    return None
+                t = R[r] // piv
+                R, bound = _widen(R, bound, _max_abs(t) * cmax)
+                if R.dtype != Y.dtype:
+                    Y = Y.astype(object)
+                Y[c] = t
+                R[rows] -= C[c, rows, None] * t.astype(R.dtype, copy=False)
+            if R.any():
                 return None
-            t = res[r] // piv
-            if t:
-                cc = self.cols[c]
-                for i in range(r, self.m):
-                    if cc[i]:
-                        res[i] -= t * cc[i]
-                y[c] = t
-        if any(res):
-            return None
-        x = [0] * self.n
-        for c, t in enumerate(y):
-            if t:
-                vc = self.V[c]
-                for i in range(self.n):
-                    if vc[i]:
-                        x[i] += t * vc[i]
-        return x
-
-    def coords(self, x):
-        """Coordinates c with x = V c (requires track_inverse)."""
-        if self.Vinv is None:
-            raise ValueError("echelon built without track_inverse")
-        return mat_vec(self.Vinv, x)
+            Y = product(self.V.T, Y)
+            if Y.dtype != X.dtype:
+                X = X.astype(object)
+            X[:, s:s + _ROW_BLOCK] = Y
+        return X
 
 
 def kernel_basis(rows):
-    """Saturated integer kernel basis of a matrix (list of vectors)."""
+    """Saturated integer kernel basis of a matrix (an integer array or a list
+    of rows), as a list of vectors."""
     return ColumnEchelon(rows).kernel_basis()
 
 
 def lattice_coords(basis, vectors, dim):
     """Coordinates of each vector in the lattice spanned by the length-dim
-    basis vectors; raises RuntimeError if a vector lies outside it."""
-    ce = ColumnEchelon([[int(b[r]) for b in basis] for r in range(dim)])
-    out = []
-    for v in vectors:
-        c = ce.solve([int(x) for x in v])
-        if c is None:
-            raise RuntimeError("vector outside the lattice")
-        out.append(c)
-    return out
+    basis vectors (both given as arrays or lists of rows); raises
+    RuntimeError if a vector lies outside it."""
+    ce = ColumnEchelon(_as_matrix(basis).reshape(len(basis), dim).T)
+    X = ce.solve(_as_matrix(vectors).reshape(len(vectors), dim).T)
+    if X is None:
+        raise RuntimeError("vector outside the lattice")
+    return X.T.tolist()
 
 
 class IntLattice:
@@ -485,11 +495,9 @@ def quotient_structure(dim, cols, exponent):
 def kernel_mod(rows, moduli):
     """Basis of {x in Z^n : (A x)_i = 0 mod moduli[i] for every row i}: the
     x-parts of ker [A | diag(moduli)], in IntLattice echelon form."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    block = [[int(x) for x in row] + [k if i == j else 0 for j in range(m)]
-             for i, (row, k) in enumerate(zip(rows, moduli))]
+    A = _as_matrix(rows)
+    n = A.shape[1]
     lat = IntLattice(n)
-    for v in kernel_basis(block):
+    for v in kernel_basis(np.hstack([A, np.diag(moduli)])):
         lat.add(v[:n])
     return lat.basis_vectors()

@@ -108,7 +108,7 @@ def _fixed_under(module, subgroup):
                          for h in gens])
     if module.p:
         return [list(v) for v in fp.nullspace(stacked, module.p)]
-    return intlin.kernel_basis([[int(x) for x in r] for r in stacked])
+    return intlin.kernel_basis(stacked)
 
 
 def coflasque_resolution(M, prune=False):
@@ -131,7 +131,7 @@ def coflasque_resolution(M, prune=False):
     if M.p:
         q_basis = intlin.kernel_mod(Smat, [M.p] * M.rank)
     else:
-        q_basis = intlin.kernel_basis([[int(x) for x in r] for r in Smat])
+        q_basis = intlin.kernel_basis(Smat)
     Q = _submodule_from_kernel(P, q_basis, "Q(%s)" % M.name)
     return CoflasqueResolution(M, pieces, P, Smat, Q, q_basis)
 

@@ -181,7 +181,7 @@ def coflasque_checks(m):
 def _kernel_module(P, Smat):
     from . import intlin
     from .gmodules import _submodule_from_kernel
-    ker = intlin.kernel_basis([[int(x) for x in r] for r in Smat])
+    ker = intlin.kernel_basis(Smat)
     return _submodule_from_kernel(P, ker, "ker")
 
 
@@ -281,7 +281,7 @@ def cor_res_checks(G, modules, max_degree=3):
         p = M.p
         for n in range(1, max_degree + 1):
             bc, cocycles = _cocycle_basis(G, M, n)
-            cob = _coboundary_rows(bc, n, p)
+            span = None  # of the coboundaries, built when first needed
             for sub in G.subgroups():
                 idx = sub.index
                 good = True
@@ -289,7 +289,11 @@ def cor_res_checks(G, modules, max_degree=3):
                     rz = coh.restriction_cochain(G, M, sub, z, n)
                     cz = coh.corestriction_cochain(G, M, sub, rz, n)
                     diff = (cz - idx * z) % p
-                    if diff.any() and not fp.Span(len(diff), p, cob).contains(diff):
+                    if not diff.any():
+                        continue
+                    if span is None:
+                        span = fp.Span(len(diff), p, _coboundary_rows(bc, n, p))
+                    if not span.contains(diff):
                         good = False
                         break
                 out.append(_check_bool(
@@ -321,15 +325,13 @@ def double_coset_checks(G, modules, max_degree=2):
         p = M.p
         restricted = {S: restrict(M, S) for S in G.subgroups()}
         for n in range(1, max_degree + 1):
+            spans = {}  # subK -> span of its coboundaries, built when first needed
             for subH in G.subgroups():
                 MH, H, _ = restricted[subH]
                 bcH = coh.BarComplex(H, MH)
                 dn = bcH.delta_matrix(n)
                 cocyclesH = fp.nullspace(dn, p)
                 for subK in G.subgroups():
-                    MK, K, _ = restricted[subK]
-                    bcK = coh.BarComplex(K, MK)
-                    cobK = _coboundary_rows(bcK, n, p)
                     good = True
                     for f in cocyclesH:
                         corf = coh.corestriction_cochain(G, M, subH, f, n)
@@ -345,8 +347,13 @@ def double_coset_checks(G, modules, max_degree=2):
                             rhs = rhs + coh.corestriction_cochain(
                                 *_subgroup_inside(restricted[subK], tgt), cf, n)
                         diff = (lhs - rhs) % p
-                        if diff.any() and not fp.Span(len(diff), p,
-                                                      cobK).contains(diff):
+                        if not diff.any():
+                            continue
+                        if subK not in spans:
+                            MK, K, _ = restricted[subK]
+                            spans[subK] = fp.Span(len(diff), p, _coboundary_rows(
+                                coh.BarComplex(K, MK), n, p))
+                        if not spans[subK].contains(diff):
                             good = False
                             break
                     out.append(_check_bool(

@@ -19,6 +19,26 @@ def _rand_matrix(rng, m, n, lo=-5, hi=5):
     return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(m)]
 
 
+def mat_mult(A, B):
+    """Exact product of two list-of-rows matrices, in Python ints."""
+    n = len(B)
+    assert all(len(row) == n for row in A)
+    p = len(B[0]) if n else 0
+    Bc = [[B[i][j] for i in range(n)] for j in range(p)]
+    return [[sum(row[k] * col[k] for k in range(n)) for col in Bc] for row in A]
+
+
+def mat_vec(A, v):
+    return [sum(a * x for a, x in zip(row, v)) for row in A]
+
+
+def _fibonacci(n):
+    fib = [0, 1]
+    while len(fib) < n:
+        fib.append(fib[-1] + fib[-2])
+    return fib
+
+
 def test_snf_divisibility_and_invariance():
     rng = random.Random(1)
     for _ in range(25):
@@ -34,7 +54,7 @@ def _check_forward_transform(A, diag, u):
     # and the rows past the rank vanish
     u = u.tolist()  # exact Python ints, whatever the array's dtype
     assert abs(_det_int(u)) == 1
-    for j, row in enumerate(intlin.mat_mult(u, A)):
+    for j, row in enumerate(mat_mult(u, A)):
         if j < len(diag):
             assert all(x % diag[j] == 0 for x in row)
         else:
@@ -54,9 +74,7 @@ def test_snf_forward_transform():
 def test_snf_transform_switches_to_exact_ints():
     # Euclid on consecutive Fibonacci numbers takes quotient 1 at every
     # step, so the transform's entries grow like the Fibonacci numbers
-    fib = [0, 1]
-    while len(fib) < 100:
-        fib.append(fib[-1] + fib[-2])
+    fib = _fibonacci(100)
     A = [[fib[-1], 2], [fib[-2], 4], [0, 6]]
     diag, u = intlin.smith_normal_form(A, want_u=True)
     assert u.dtype == object
@@ -132,7 +150,16 @@ def test_bounded_product_is_exact():
     assert small.tolist() == [[(1 << 41) + 21], [(7 << 40) - 10]]
     big = intlin.product(A, A)  # int64 would wrap at 2^80
     assert big.dtype == object
-    assert big.tolist() == intlin.mat_mult(A.tolist(), A.tolist())
+    assert big.tolist() == mat_mult(A.tolist(), A.tolist())
+    # sums of products up to 2^52: exact in the float64 (BLAS) product too
+    rng = np.random.default_rng(12)
+    A = rng.integers(-(1 << 25), 1 << 25, (5, 3))
+    B = rng.integers(-(1 << 25), 1 << 25, (3, 4))
+    assert intlin.product(A, B).dtype == np.int64
+    assert intlin.product(A, B).tolist() == mat_mult(A.tolist(), B.tolist())
+    huge = np.array([[1 << 70, 1]], dtype=object)  # no int64 copy of it exists
+    assert intlin.product(huge, np.zeros((2, 0), dtype=np.int64)).shape == (1, 0)
+    assert intlin.product(huge, np.zeros((2, 1), dtype=np.int64)).tolist() == [[0]]
 
 
 def test_kernel_saturated():
@@ -145,13 +172,13 @@ def test_kernel_saturated():
     for _ in range(20):
         A = _rand_matrix(rng, 3, 5)
         for v in intlin.kernel_basis(A):
-            assert all(x == 0 for x in intlin.mat_vec(A, v))
+            assert all(x == 0 for x in mat_vec(A, v))
 
 
 def test_solve_int():
     A = [[2, 0], [0, 3]]
-    assert intlin.ColumnEchelon(A).solve([4, 9]) == [2, 3]
-    assert intlin.ColumnEchelon(A).solve([1, 0]) is None
+    assert intlin.ColumnEchelon(A).solve([[4], [9]]).tolist() == [[2], [3]]
+    assert intlin.ColumnEchelon(A).solve([[1], [0]]) is None
 
 
 def test_quotient_structure():
@@ -177,11 +204,11 @@ def test_kernel_mod_matches_brute_force():
         basis = intlin.kernel_mod(A, ks)
         lat = intlin.IntLattice(n)
         for v in basis:
-            assert all(x % k == 0 for x, k in zip(intlin.mat_vec(A, v), ks))
+            assert all(x % k == 0 for x, k in zip(mat_vec(A, v), ks))
             lat.add(v)
         assert len(basis) == n  # full rank: L Z^n lies inside
         for x in itertools.product(range(L), repeat=n):
-            inside = all(y % k == 0 for y, k in zip(intlin.mat_vec(A, x), ks))
+            inside = all(y % k == 0 for y, k in zip(mat_vec(A, x), ks))
             assert lat.contains(list(x)) == inside
         for i in range(n):
             assert lat.contains([L if j == i else 0 for j in range(n)])
@@ -198,11 +225,114 @@ def test_int_lattice_membership():
 
 
 def test_column_echelon_coords():
-    ce = intlin.ColumnEchelon([[1, 2], [0, 3]], track_inverse=True)
+    A = [[1, 2], [0, 3]]
     x = [5, 3]
-    c = ce.coords(x)
-    recon = intlin.mat_vec([list(r) for r in zip(*ce.V)], c)  # V c, V columns
-    assert recon == x
+    X = intlin.ColumnEchelon(A).solve([[b] for b in mat_vec(A, x)])
+    assert X.ravel().tolist() == x
+
+
+def _echelon_matrices(seed=9):
+    """Seeded matrices as lists of rows: empty, tall, wide and square, and
+    every third one rank-deficient (a product through a narrower inner
+    dimension)."""
+    rng = random.Random(seed)
+    shapes = [(0, 0), (0, 3), (3, 0), (7, 2), (2, 7), (5, 5)]
+    shapes += [(rng.randint(1, 7), rng.randint(1, 7)) for _ in range(24)]
+
+    def sparse(r, c):
+        return [[rng.randint(-4, 4) if rng.random() < 0.6 else 0 for _ in range(c)]
+                for _ in range(r)]
+
+    out = []
+    for i, (m, n) in enumerate(shapes):
+        if i % 3 == 2 and m and n:
+            k = rng.randint(1, min(m, n))
+            out.append(mat_mult(sparse(m, k), sparse(k, n)))
+        else:
+            out.append(sparse(m, n))
+    return out
+
+
+# kernel_basis of each _echelon_matrices() entry, as the pure-Python column
+# echelon returned it: `coflasque --prune` output depends on these bases
+_PINNED_KERNELS = [
+    [], [], [], [],
+    [[1, 0, 0, 0, -4, 0, 0], [0, 1, 1, 0, -4, 0, 0], [0, 0, 0, 1, 3, 0, 0],
+     [0, 0, 0, 0, 2, 1, 0], [0, 0, 0, 0, -3, 0, 1]],
+    [], [[1, 0, 1, 0, 0]], [[0, 1, 0]], [[1, 3]], [], [[-2, -3, 0], [0, -2, 1]],
+    [[-3, 10, 12, -28]], [], [[1, 0, -9, 6, 0], [0, 1, 0, 0, 0]],
+    [[0, 1, 0, 0, 0, 0], [4, 0, 6, 1, 0, 0], [4, 0, 8, 0, 1, 0],
+     [-1, 0, -1, 0, 0, 1]],
+    [[1, 0, 0, 0, 0, 0], [0, 1, 0, -4, 0, 0], [0, 0, 1, 0, 0, 0],
+     [0, 0, 0, 0, 1, 0], [0, 0, 0, -2, 0, 1]],
+    [], [[1, 0, 0, 0], [0, -3, -3, 7]], [], [], [[1]], [[1, 0]],
+    [[-16, 28, 12, 24, 0, -48, 21], [-1, 1, -1, 0, 1, 0, 0]], [[1]], [],
+    [[6, -3, 0, -12, 16, 12, 20], [1, -2, 1, 3, -1, -3, -5],
+     [6, -6, 0, 6, 1, -3, -9]],
+    [], [], [],
+    [[-27, 0, -2, 0, -4, -16, 0], [-18, 1, 0, 0, -3, -12, 0],
+     [-28, 0, -1, 1, -5, -18, 0], [6, 0, -1, 0, 1, 4, 1]],
+]
+
+
+def test_column_echelon_kernels_are_pinned():
+    assert [intlin.kernel_basis(A) for A in _echelon_matrices()] == _PINNED_KERNELS
+
+
+def _check_echelon(A, n, rng, dtype):
+    """A V = E with V unimodular, a saturated kernel of the right size, and
+    A X == B exactly for the multi-RHS solve, past one block of columns."""
+    ce = intlin.ColumnEchelon(A)
+    assert ce.V.dtype == dtype
+    V = ce.V.tolist()
+    assert abs(_det_int(V)) == 1
+    kernel = ce.kernel_basis()
+    assert len(kernel) == n - ce.rank
+    for v in kernel:
+        assert not any(mat_vec(A, v))
+    for count in (0, 1, 70):
+        X = [[rng.randint(-9, 9) for _ in range(count)] for _ in range(n)]
+        B = mat_mult(A, X) if n else [[0] * count for _ in A]
+        sol = ce.solve(B).tolist()
+        assert mat_mult(A, sol) == B if n else sol == []
+
+
+def test_column_echelon_solve_properties():
+    rng = random.Random(10)
+    for A in _echelon_matrices():
+        _check_echelon(A, len(A[0]) if A else 0, rng, np.int64)
+    # a matrix with zero rows still has n columns, so its kernel is Z^n
+    assert intlin.kernel_basis(np.zeros((0, 3), dtype=np.int64)) == np.eye(3).tolist()
+    # Euclid on consecutive Fibonacci numbers: entries that fit int64 at the
+    # start, and elimination that needs exact Python ints after
+    fib = _fibonacci(100)
+    A = [[fib[90], fib[89], 0], [0, 1, fib[90]]]
+    assert np.asarray(A).dtype == np.int64
+    _check_echelon(A, 3, rng, object)
+    _check_echelon([[fib[99], fib[98], 1]], 3, rng, object)  # past int64 at once
+    b = mat_vec(A, [fib[45], -3, 1])
+    sol = intlin.ColumnEchelon(A).solve([[x] for x in b])
+    assert mat_vec(A, sol.ravel().tolist()) == b
+    assert intlin.ColumnEchelon(A).solve([[b[0] + 1], [b[1]]]) is None
+
+
+def test_lattice_coords_unique_and_outside():
+    rng = random.Random(11)
+    for _ in range(20):
+        dim = rng.randint(1, 7)
+        k = rng.randint(1, dim)
+        basis = _rand_matrix(rng, k, dim)
+        if intlin.ColumnEchelon(np.array(basis).T).rank < k:
+            continue  # dependent: coordinates are not unique
+        coords = _rand_matrix(rng, rng.randint(1, 5), k, -20, 20)
+        vectors = mat_mult(coords, basis)
+        assert intlin.lattice_coords(basis, vectors, dim) == coords
+        assert intlin.lattice_coords(np.array(basis), np.array(vectors), dim) == coords
+    with pytest.raises(RuntimeError):
+        intlin.lattice_coords([[2, 0], [0, 2]], [[2, 2], [1, 0]], 2)  # not in 2Z^2
+    with pytest.raises(RuntimeError):
+        intlin.lattice_coords([[1, 0, 0]], [[0, 1, 0]], 3)  # not in the span
+    assert intlin.lattice_coords([[1, 0]], [], 2) == []
 
 
 def test_fp_rref_nullspace_solve():
