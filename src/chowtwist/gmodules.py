@@ -141,7 +141,7 @@ class GModule:
         if k == 0:
             return FiniteAbelianGroup([], 0)
         # write each tr(e_j) in the fixed basis, then take the cokernel
-        cols = intlin.lattice_coords(fixed, tr.T, self.rank)
+        cols = intlin.lattice_coords(fixed, tr.T, self.rank).T
         free_rank, factors = intlin.quotient_structure(k, cols, self.group.order)
         return FiniteAbelianGroup(factors, free_rank)
 
@@ -449,15 +449,12 @@ def _submodule_from_kernel(F, kernel_rows, name):
         if any(m is None for m in mats):
             raise RuntimeError("subspace is not stable under the action")
     else:
-        # one echelon of the basis; the images under every generator solved
-        # in it at once, column i*k + j being generator i applied to K[j]
-        imgs = np.empty((F.rank, len(gens) * k), dtype=np.int64)
-        for i, g in enumerate(gens):
-            imgs[:, i * k:(i + 1) * k] = intlin.product(F.act(g), K.T)
-        X = intlin.ColumnEchelon(K.T).solve(imgs)
-        del imgs  # not held while the module below completes its action
-        if X is None:
-            raise RuntimeError("sublattice is not stable under the action")
+        # the images under every generator solved in the basis at once,
+        # vector i*k + j being generator i applied to K[j]; they are not
+        # held while the module below completes its action
+        imgs = np.array([intlin.product(K, F.act(g).T) for g in gens])
+        X = intlin.lattice_coords(K, imgs.reshape(-1, F.rank), F.rank)
+        del imgs
         mats = [X[:, i * k:(i + 1) * k] for i in range(len(gens))]
     return GModule(F.group, F.ring, k, dict(zip(gens, mats)), check=False, name=name)
 

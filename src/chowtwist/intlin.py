@@ -27,8 +27,6 @@ from .errors import VerificationError
 
 # int64 arithmetic is exact while every intermediate stays below this
 _INT64_SAFE = 1 << 62
-# and float64 arithmetic on integers below this
-_FLOAT64_EXACT = 1 << 53
 # rows per elimination update, and right-hand sides per block of a column
 # echelon solve: bounds the temporaries, which peak RSS sees
 _ROW_BLOCK = 64
@@ -56,25 +54,15 @@ def _max_abs(a):
 def product(A, B):
     """Exact A @ B of integer arrays (or nested lists).
 
-    With s = max|A| * max|B| * (inner dimension), no sum of products can
-    exceed s.  The product is int64 while both factors fit and s < 2^62, and
-    Python ints, as an object array, after.  Two matrices with s < 2^53
-    multiply in float64 instead, where every partial sum is an integer that
-    float64 holds exactly and the product runs in BLAS; a matrix times a
-    vector gains nothing there and would pay for a float copy of A.
+    In int64 when both factors fit and max|A| * max|B| * (inner dimension)
+    < 2^62, so no sum of products can wrap; otherwise in Python ints, as an
+    object array.
     """
     A, B = np.asarray(A), np.asarray(B)
     a, b = _max_abs(A), _max_abs(B)
-    bound = a * b * A.shape[-1]
-    if max(a, b) >= _INT64_SAFE or bound >= _INT64_SAFE:
-        return A.astype(object) @ B.astype(object)
-    if A.ndim == B.ndim == 2 and bound < _FLOAT64_EXACT:
-        Bf = B.astype(np.float64)
-        out = np.empty((A.shape[0], B.shape[1]), dtype=np.int64)
-        for s in range(0, A.shape[0], _ROW_BLOCK):
-            out[s:s + _ROW_BLOCK] = A[s:s + _ROW_BLOCK] @ Bf
-        return out
-    return A.astype(np.int64, copy=False) @ B.astype(np.int64, copy=False)
+    if max(a, b, a * b * A.shape[-1]) < _INT64_SAFE:
+        return A.astype(np.int64, copy=False) @ B.astype(np.int64, copy=False)
+    return A.astype(object) @ B.astype(object)
 
 
 def _as_matrix(rows):
@@ -204,14 +192,15 @@ def kernel_basis(rows):
 
 
 def lattice_coords(basis, vectors, dim):
-    """Coordinates of each vector in the lattice spanned by the length-dim
-    basis vectors (both given as arrays or lists of rows); raises
-    RuntimeError if a vector lies outside it."""
+    """Coordinates of the vectors in the lattice spanned by the length-dim
+    basis vectors (both given as arrays or lists of rows), as an array whose
+    column j holds those of vector j; raises RuntimeError if a vector lies
+    outside the lattice."""
     ce = ColumnEchelon(_as_matrix(basis).reshape(len(basis), dim).T)
     X = ce.solve(_as_matrix(vectors).reshape(len(vectors), dim).T)
     if X is None:
         raise RuntimeError("vector outside the lattice")
-    return X.T.tolist()
+    return X
 
 
 class IntLattice:
@@ -486,7 +475,7 @@ def invariant_factors(rows, exponent):
 def quotient_structure(dim, cols, exponent):
     """Structure of Z^dim / (lattice spanned by the given column vectors),
     as (free_rank, factors); exponent kills its torsion."""
-    if not cols:
+    if not len(cols):
         return dim, []
     factors, rank = invariant_factors(cols, exponent)
     return dim - rank, factors

@@ -239,7 +239,7 @@ def counterexample_lattices(m):
     subgroups = [G.generated_subgroup([a]) for a in (1, 2, 3)]
     targets = [[x + y for x, y in zip(a_basis[i - 1], a_basis[2 * m + a * m + i])]
                for a in range(3) for i in range(1, m + 1)]
-    a_coords = intlin.lattice_coords(a_basis, targets, nB)
+    a_coords = intlin.lattice_coords(a_basis, targets, nB).T.tolist()
     pieces = [(subgroups[j // m], c) for j, c in enumerate(a_coords)]
     P, p_to_a = permutation_sum(A, pieces)
     return CounterexampleData(m, M, B, S, A, a_basis, P, pieces, p_to_a)

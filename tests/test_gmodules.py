@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from chowtwist import gmodules as gm
-from chowtwist.groups import make_cyclic, make_klein4, make_quaternion
+from chowtwist.groups import FiniteGroup, make_cyclic, make_klein4, make_quaternion
 
 
 def test_trivial_and_sign():
@@ -109,6 +109,10 @@ def test_syzygy_exactness():
     I = gm.augmentation_ideal(G)
     W = gm.syzygy(I, gens=[[1, 0, 0]])
     assert W.rank == G.order - I.rank  # 0 -> W -> ZG -> I -> 0
+    # a group declared with no generators: the sublattice has no images to solve
+    E = FiniteGroup([[0]], generators=[])
+    W = gm.syzygy(gm.make_trivial(E), gens=[[1], [1]])
+    assert W.rank == 1 and W.group.generators == []
 
 
 def test_omega_klein_dims():

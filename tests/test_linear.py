@@ -151,12 +151,6 @@ def test_bounded_product_is_exact():
     big = intlin.product(A, A)  # int64 would wrap at 2^80
     assert big.dtype == object
     assert big.tolist() == mat_mult(A.tolist(), A.tolist())
-    # sums of products up to 2^52: exact in the float64 (BLAS) product too
-    rng = np.random.default_rng(12)
-    A = rng.integers(-(1 << 25), 1 << 25, (5, 3))
-    B = rng.integers(-(1 << 25), 1 << 25, (3, 4))
-    assert intlin.product(A, B).dtype == np.int64
-    assert intlin.product(A, B).tolist() == mat_mult(A.tolist(), B.tolist())
     huge = np.array([[1 << 70, 1]], dtype=object)  # no int64 copy of it exists
     assert intlin.product(huge, np.zeros((2, 0), dtype=np.int64)).shape == (1, 0)
     assert intlin.product(huge, np.zeros((2, 1), dtype=np.int64)).tolist() == [[0]]
@@ -326,13 +320,14 @@ def test_lattice_coords_unique_and_outside():
             continue  # dependent: coordinates are not unique
         coords = _rand_matrix(rng, rng.randint(1, 5), k, -20, 20)
         vectors = mat_mult(coords, basis)
-        assert intlin.lattice_coords(basis, vectors, dim) == coords
-        assert intlin.lattice_coords(np.array(basis), np.array(vectors), dim) == coords
+        assert intlin.lattice_coords(basis, vectors, dim).T.tolist() == coords
+        X = intlin.lattice_coords(np.array(basis), np.array(vectors), dim)
+        assert X.shape == (k, len(coords)) and X.T.tolist() == coords
     with pytest.raises(RuntimeError):
         intlin.lattice_coords([[2, 0], [0, 2]], [[2, 2], [1, 0]], 2)  # not in 2Z^2
     with pytest.raises(RuntimeError):
         intlin.lattice_coords([[1, 0, 0]], [[0, 1, 0]], 3)  # not in the span
-    assert intlin.lattice_coords([[1, 0]], [], 2) == []
+    assert intlin.lattice_coords([[1, 0]], [], 2).shape == (1, 0)
 
 
 def test_fp_rref_nullspace_solve():
