@@ -15,6 +15,15 @@ invariant factors of that matrix; the map out never has to be built.  H^n
 and H_n for n > 0 are Tate groups; H^0 and H_0 are the ones with a free part.
 The 2-periodic resolution of a cyclic group and the Klein resolution in
 kleinres go through the same ker/im routine.
+
+Restriction, corestriction (the chain-level transfer) and conjugation move
+cochains between G and a subgroup, taken as subgroup.as_group().  Each map
+reads one integer index table that sends every target tuple to the source
+tuple(s) it evaluates on, and is then a numpy gather (plus one product with
+an action matrix per coset for the transfer, one for conjugation).  A table
+depends on the groups and the degree only, not on the module, so it is
+built once and kept on the group G, keyed by the subgroup's elements.  All
+three maps take one cochain or a 2-D stack of them, one per row.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ import numpy as np
 
 from . import fp, intlin
 from .errors import ResourceCapError, VerificationError
-from .gmodules import FiniteAbelianGroup, make_trivial, restrict
+from .gmodules import FiniteAbelianGroup, make_trivial
 
 DEFAULT_MAX_CELLS = 10 ** 6
 
@@ -290,24 +299,66 @@ def cup_with_trivial(group, module, a, p_deg, b, q_deg):
     return out % module.p
 
 
+def _cochain_table(G, key, build):
+    """The index table key over G: built by build() on first use and kept
+    on G, as the subgroups that key names are fresh objects on most calls."""
+    tables = G._cochain_tables
+    if key not in tables:
+        tables[key] = build()
+    return tables[key]
+
+
+def _positions(G, elements):
+    """(pos, q): pos maps each listed non-identity element of G to its place
+    in the sorted list of them, and every other element to -1."""
+    nonid = [e for e in elements if e != G.identity]
+    pos = np.full(G.order, -1, dtype=np.int64)
+    pos[nonid] = np.arange(len(nonid))
+    return pos, len(nonid)
+
+
+def _tuple_indices(digits, base, n):
+    """Base-`base` index of every n-tuple over `digits`, the tuples in
+    lexicographic order of their places in `digits`."""
+    idx = np.zeros(1, dtype=np.int64)
+    for _ in range(n):
+        idx = (idx[:, None] * base + digits).ravel()
+    return idx
+
+
+def _blocks(f, tuples, r):
+    """A cochain, or a 2-D stack of them (one per row), as an
+    m x tuples x r array, and whether it was a single cochain."""
+    F = np.asarray(f, dtype=np.int64)
+    return F.reshape(len(F) if F.ndim > 1 else 1, tuples, r), F.ndim == 1
+
+
+def _unblock(out, single, p):
+    m, tuples, r = out.shape
+    out = out.reshape(m, tuples * r)
+    if p:
+        out %= p
+    return out[0] if single else out
+
+
 def restriction_cochain(G, module, subgroup, f, n):
-    """Restrict a degree-n cochain over G to the subgroup, as the group
-    subgroup.as_group(); the coefficient module keeps its parent coordinates.
-    """
-    bcG = BarComplex(G, module)
-    MH, H, embed = restrict(module, subgroup)
-    bcH = BarComplex(H, MH)
-    out = np.zeros(bcH.dim(n), dtype=np.int64)
-    r = module.rank
-    for idx, t in enumerate(bcH.tuples(n)):
-        parent_t = tuple(embed[x] for x in t)
-        out[idx * r:(idx + 1) * r] = bcG.block(f, parent_t)
-    return out
+    """Restrict a degree-n cochain over G, or a 2-D stack of them, to the
+    subgroup, as the group subgroup.as_group(); the coefficient module keeps
+    its parent coordinates.  One gather through the G-tuple index of each
+    subgroup tuple."""
+    def build():
+        posG, qG = _positions(G, range(G.order))
+        return _tuple_indices(posG[[e for e in subgroup.elements if e != G.identity]],
+                              qG, n)
+
+    idx = _cochain_table(G, ("res", subgroup.elements, n), build)
+    F, single = _blocks(f, (G.order - 1) ** n, module.rank)
+    return _unblock(F[:, idx], single, None)
 
 
 def corestriction_cochain(G, module, subgroup, fH, n):
-    """Chain-level transfer of a degree-n cochain over subgroup.as_group()
-    to G.
+    """Chain-level transfer of a degree-n cochain over subgroup.as_group(),
+    or a 2-D stack of them, to G.
 
     Right coset representatives t_i of H\\G are the minimal element index in
     each coset.  Writing t_i g = h_i(g) t_{sigma_g(i)} with h_i(g) in the
@@ -316,57 +367,60 @@ def corestriction_cochain(G, module, subgroup, fH, n):
       (cor f)(g_1,..,g_n) = sum_i t_i^{-1} . f(h_{i_1}(g_1), h_{i_2}(g_2), ..)
 
     with i_1 = i and i_{k+1} = sigma_{g_k}(i_k).
+
+    The H-tuple of every G-tuple and coset comes from an index table built
+    column by column out of the |cosets| x |G| tables sigma and h, read off
+    G.table and G.inverse; -1 marks an H-tuple with an identity entry,
+    where f is zero.  The table depends on (G, H, n) only and is kept on G.
+    The transfer is then one gather and one product with t_i^{-1} per coset.
     """
-    MH, H, embed = restrict(module, subgroup)
-    inv_embed = {e: j for j, e in enumerate(embed)}
-    reps = subgroup.right_coset_reps()
-    coset_of = {}
-    for i, t in enumerate(reps):
-        for h in subgroup.elements:
-            coset_of[G.mul(h, t)] = i
-    bcG = BarComplex(G, module)
-    bcH = BarComplex(H, MH)
+    def build():
+        reps = np.array(subgroup.right_coset_reps())
+        els = np.array(subgroup.elements)
+        coset = np.empty(G.order, dtype=np.int64)
+        coset[G.table[np.ix_(els, reps)]] = np.arange(len(reps))
+        tg = G.table[reps]  # t_i g
+        sigma = coset[tg]
+        posH, qH = _positions(G, subgroup.elements)
+        h = posH[G.table[tg, G.inverse[reps[sigma]]]]
+        nonid = [g for g in range(G.order) if g != G.identity]
+        sigma, h = sigma[:, nonid], h[:, nonid]  # coset x G-position
+        cur = np.arange(len(reps))[None, :]  # coset of each (G-tuple, i_1)
+        idx = np.zeros_like(cur)
+        for _ in range(n):
+            hk = h[cur].transpose(0, 2, 1)  # G-tuple x next entry x i_1
+            idx = np.where((idx[:, None, :] < 0) | (hk < 0), -1,
+                           idx[:, None, :] * qH + hk).reshape(-1, len(reps))
+            cur = sigma[cur].transpose(0, 2, 1).reshape(-1, len(reps))
+        return idx, [G.inv(int(t)) for t in reps]
+
+    idx, inv_reps = _cochain_table(G, ("cor", subgroup.elements, n), build)
     r = module.rank
-    out = np.zeros(bcG.dim(n), dtype=np.int64)
-    for idx, t in enumerate(bcG.tuples(n)):
-        acc = np.zeros(r, dtype=np.int64)
-        for i0 in range(len(reps)):
-            i = i0
-            h_tuple = []
-            for g in t:
-                tg = G.mul(reps[i], g)
-                j = coset_of[tg]
-                h = G.mul(tg, G.inv(reps[j]))
-                h_tuple.append(inv_embed[h])
-                i = j
-            val = bcH.block(fH, tuple(h_tuple))
-            acc = acc + module.act(G.inv(reps[i0])) @ val
-        out[idx * r:(idx + 1) * r] = acc
-    if module.p:
-        out %= module.p
-    return out
+    F, single = _blocks(fH, (subgroup.order - 1) ** n, r)
+    padded = np.concatenate([F, np.zeros((len(F), 1, r), dtype=np.int64)], axis=1)
+    out = np.zeros((len(F), len(idx), r), dtype=np.int64)
+    for i, t_inv in enumerate(inv_reps):
+        out += padded[:, idx[:, i]] @ module.act(t_inv).T
+    return _unblock(out, single, module.p)
 
 
 def conjugation_cochain(G, module, src_subgroup, x, f, n):
     """Conjugation c_x : cochains over H to cochains over xHx^{-1},
-    (c_x f)(k_1..k_n) = x . f(x^{-1} k_1 x, ..).
+    (c_x f)(k_1..k_n) = x . f(x^{-1} k_1 x, ..), for one cochain or a 2-D
+    stack of them.
 
     Both subgroup cochain spaces use their as_group presentations.
     """
-    tgt = G.generated_subgroup([G.conj(x, a) for a in src_subgroup.elements])
-    MH, H, embedH = restrict(module, src_subgroup)
-    MK, K, embedK = restrict(module, tgt)
-    inv_embedH = {e: j for j, e in enumerate(embedH)}
-    bcH = BarComplex(H, MH)
-    bcK = BarComplex(K, MK)
-    r = module.rank
-    out = np.zeros(bcK.dim(n), dtype=np.int64)
-    for idx, t in enumerate(bcK.tuples(n)):
-        back = tuple(inv_embedH[G.conj(G.inv(x), embedK[k])] for k in t)
-        out[idx * r:(idx + 1) * r] = module.act(x) @ bcH.block(f, back)
-    if module.p:
-        out %= module.p
-    return out, tgt
+    def build():
+        tgt = G.generated_subgroup([G.conj(x, a) for a in src_subgroup.elements])
+        posH, qH = _positions(G, src_subgroup.elements)
+        xinv = G.inv(x)
+        back = [G.conj(xinv, k) for k in tgt.elements if k != G.identity]
+        return _tuple_indices(posH[back], qH, n), tgt
+
+    idx, tgt = _cochain_table(G, ("conj", src_subgroup.elements, x, n), build)
+    F, single = _blocks(f, (src_subgroup.order - 1) ** n, module.rank)
+    return _unblock(F[:, idx] @ module.act(x).T, single, module.p), tgt
 
 
 def character_chern(group, chi):

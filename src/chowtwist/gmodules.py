@@ -66,24 +66,46 @@ class GModule:
             if m.shape != (self.rank, self.rank):
                 raise ValueError("action matrix has wrong shape")
             gens[int(g)] = m % self.p if self.p else m
-        mats = {group.identity: np.eye(self.rank, dtype=np.int64), **gens}
+        self._mats = {group.identity: np.eye(self.rank, dtype=np.int64)}
+        self._bound = {group.identity: 1}
+        for g, m in gens.items():
+            self._store(g, m)
         # complete by BFS: multiply each newly reached element by the generators
-        frontier = list(mats)
+        frontier = list(self._mats)
         while frontier:
             nxt = []
             for a in frontier:
-                for g, mg in gens.items():
+                for g in gens:
                     c = group.mul(a, g)
-                    if c not in mats:
-                        prod = mats[a] @ mg
-                        mats[c] = prod % self.p if self.p else prod
+                    if c not in self._mats:
+                        self._store(c, self._product(a, g))
                         nxt.append(c)
             frontier = nxt
-        if len(mats) < group.order:
+        if len(self._mats) < group.order:
             raise ValueError("generators with given action do not cover the group")
-        self._mats = mats
         if check:
             self._validate()
+
+    def _store(self, g, m):
+        """Record the matrix of g with its max |entry| (p - 1 bounds it over
+        F_p)."""
+        self._mats[g] = m
+        self._bound[g] = self.p - 1 if self.p else int(np.abs(m).max(initial=0))
+
+    def _product(self, a, b):
+        """act(a) @ act(b), reduced mod p.  In int64 when the stored bounds
+        show no sum of products can wrap; otherwise exact, and a ValueError
+        when the product does not fit in int64."""
+        A, B = self._mats[a], self._mats[b]
+        if self._bound[a] * self._bound[b] * self.rank < intlin.INT64_SAFE:
+            prod = A @ B
+        else:
+            prod = intlin.product(A, B)
+            info = np.iinfo(np.int64)
+            if prod.size and not info.min <= prod.min() <= prod.max() <= info.max:
+                raise ValueError("action matrix product overflows int64")
+            prod = prod.astype(np.int64)
+        return prod % self.p if self.p else prod
 
     def _validate(self):
         G = self.group
@@ -92,9 +114,7 @@ class GModule:
         for a in range(G.order):
             ma = self._mats[a]
             for b in range(G.order):
-                prod = ma @ self._mats[b]
-                if self.p:
-                    prod %= self.p
+                prod = self._product(a, b)
                 if not np.array_equal(prod, self._mats[G.mul(a, b)]):
                     raise ValueError("action is not a homomorphism at (%d,%d)" % (a, b))
             if self.p is None and self.rank and _det_int(ma) not in (1, -1):

@@ -59,6 +59,8 @@ class FiniteGroup:
             raise ValueError("declared generators do not generate the group")
         self.name = name or "G%d" % n
         self._subgroups = None
+        # cochain index tables of cohomology's res/cor/conjugation maps
+        self._cochain_tables = {}
 
     def mul(self, a, b):
         return int(self.table[a, b])

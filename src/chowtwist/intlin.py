@@ -26,7 +26,7 @@ import numpy as np
 from .errors import VerificationError
 
 # int64 arithmetic is exact while every intermediate stays below this
-_INT64_SAFE = 1 << 62
+INT64_SAFE = 1 << 62
 # rows per elimination update, and right-hand sides per block of a column
 # echelon solve: bounds the temporaries, which peak RSS sees
 _ROW_BLOCK = 64
@@ -60,7 +60,7 @@ def product(A, B):
     """
     A, B = np.asarray(A), np.asarray(B)
     a, b = _max_abs(A), _max_abs(B)
-    if max(a, b, a * b * A.shape[-1]) < _INT64_SAFE:
+    if max(a, b, a * b * A.shape[-1]) < INT64_SAFE:
         return A.astype(np.int64, copy=False) @ B.astype(np.int64, copy=False)
     return A.astype(object) @ B.astype(object)
 
@@ -84,9 +84,9 @@ def _widen(a, bound, step):
     2^62, and a becomes an exact object array when the true one would."""
     if a.dtype == object:
         return a, bound
-    if bound + step >= _INT64_SAFE:
+    if bound + step >= INT64_SAFE:
         bound = _max_abs(a)
-        if bound + step >= _INT64_SAFE:
+        if bound + step >= INT64_SAFE:
             return a.astype(object), bound
     return a, bound + step
 
@@ -281,10 +281,10 @@ def smith_normal_form(rows, want_u=False):
             if Aj[k]:
                 Ai[k] -= q * Aj[k]
         if U is not None:
-            if U.dtype != object and bound[i] + abs(q) * bound[j] >= _INT64_SAFE:
+            if U.dtype != object and bound[i] + abs(q) * bound[j] >= INT64_SAFE:
                 # the running bounds overshoot: retake them from the rows
                 bound[i], bound[j] = _max_abs(U[i]), _max_abs(U[j])
-                if bound[i] + abs(q) * bound[j] >= _INT64_SAFE:
+                if bound[i] + abs(q) * bound[j] >= INT64_SAFE:
                     U = U.astype(object)
             bound[i] += abs(q) * bound[j]
             U[i] -= q * U[j]

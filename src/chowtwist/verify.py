@@ -285,10 +285,9 @@ def cor_res_checks(G, modules, max_degree=3):
             for sub in G.subgroups():
                 idx = sub.index
                 good = True
-                for z in cocycles:
-                    rz = coh.restriction_cochain(G, M, sub, z, n)
-                    cz = coh.corestriction_cochain(G, M, sub, rz, n)
-                    diff = (cz - idx * z) % p
+                cz = coh.corestriction_cochain(
+                    G, M, sub, coh.restriction_cochain(G, M, sub, cocycles, n), n)
+                for diff in (cz - idx * cocycles) % p:
                     if not diff.any():
                         continue
                     if span is None:
@@ -331,22 +330,21 @@ def double_coset_checks(G, modules, max_degree=2):
                 bcH = coh.BarComplex(H, MH)
                 dn = bcH.delta_matrix(n)
                 cocyclesH = fp.nullspace(dn, p)
+                corf = coh.corestriction_cochain(G, M, subH, cocyclesH, n)
                 for subK in G.subgroups():
                     good = True
-                    for f in cocyclesH:
-                        corf = coh.corestriction_cochain(G, M, subH, f, n)
-                        lhs = coh.restriction_cochain(G, M, subK, corf, n)
-                        rhs = np.zeros_like(lhs)
-                        for g, inter in double_cosets(G, subK, subH):
-                            # L = g^{-1} K g cap H, conjugate of the stored
-                            # intersection K cap g H g^{-1}
-                            L = inter.conjugate(G.inv(g))
-                            fL = coh.restriction_cochain(
-                                *_subgroup_inside(restricted[subH], L), f, n)
-                            cf, tgt = coh.conjugation_cochain(G, M, L, g, fL, n)
-                            rhs = rhs + coh.corestriction_cochain(
-                                *_subgroup_inside(restricted[subK], tgt), cf, n)
-                        diff = (lhs - rhs) % p
+                    lhs = coh.restriction_cochain(G, M, subK, corf, n)
+                    rhs = np.zeros_like(lhs)
+                    for g, inter in double_cosets(G, subK, subH):
+                        # L = g^{-1} K g cap H, conjugate of the stored
+                        # intersection K cap g H g^{-1}
+                        L = inter.conjugate(G.inv(g))
+                        fL = coh.restriction_cochain(
+                            *_subgroup_inside(restricted[subH], L), cocyclesH, n)
+                        cf, tgt = coh.conjugation_cochain(G, M, L, g, fL, n)
+                        rhs = rhs + coh.corestriction_cochain(
+                            *_subgroup_inside(restricted[subK], tgt), cf, n)
+                    for diff in (lhs - rhs) % p:
                         if not diff.any():
                             continue
                         if subK not in spans:

@@ -1,9 +1,11 @@
+import collections
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from chowtwist import chow
+from chowtwist import chow, verify
 from chowtwist import cohomology as coh
 from chowtwist import fp, intlin
 from chowtwist import gmodules as gm
@@ -206,3 +208,157 @@ def test_subgroup_generated():
     assert space.factors == [6]
     sub = chow._subgroup_structure(space, [(2,)])
     assert sub.order == 3  # the index-2 subgroup of Z/6
+
+
+# ---------------------------------------------------------------------------
+# reference per-tuple restriction, transfer and conjugation: the table
+# versions in cohomology must agree with these exactly
+
+
+def _ref_restriction(G, module, subgroup, f, n):
+    bcG = coh.BarComplex(G, module)
+    MH, H, embed = gm.restrict(module, subgroup)
+    bcH = coh.BarComplex(H, MH)
+    out = np.zeros(bcH.dim(n), dtype=np.int64)
+    r = module.rank
+    for idx, t in enumerate(bcH.tuples(n)):
+        out[idx * r:(idx + 1) * r] = bcG.block(f, tuple(embed[x] for x in t))
+    return out
+
+
+def _ref_corestriction(G, module, subgroup, fH, n, skip=None):
+    """The transfer summed over every coset but the one numbered skip."""
+    MH, H, embed = gm.restrict(module, subgroup)
+    inv_embed = {e: j for j, e in enumerate(embed)}
+    reps = subgroup.right_coset_reps()
+    coset_of = {G.mul(h, t): i for i, t in enumerate(reps) for h in subgroup.elements}
+    bcG = coh.BarComplex(G, module)
+    bcH = coh.BarComplex(H, MH)
+    r = module.rank
+    out = np.zeros(bcG.dim(n), dtype=np.int64)
+    for idx, t in enumerate(bcG.tuples(n)):
+        acc = np.zeros(r, dtype=np.int64)
+        for i0 in range(len(reps)):
+            i = i0
+            h_tuple = []
+            for g in t:
+                tg = G.mul(reps[i], g)
+                j = coset_of[tg]
+                h_tuple.append(inv_embed[G.mul(tg, G.inv(reps[j]))])
+                i = j
+            if i0 != skip:
+                acc = acc + module.act(G.inv(reps[i0])) @ bcH.block(fH, tuple(h_tuple))
+        out[idx * r:(idx + 1) * r] = acc
+    return out % module.p if module.p else out
+
+
+def _ref_conjugation(G, module, src_subgroup, x, f, n):
+    tgt = G.generated_subgroup([G.conj(x, a) for a in src_subgroup.elements])
+    MH, H, embedH = gm.restrict(module, src_subgroup)
+    MK, K, embedK = gm.restrict(module, tgt)
+    inv_embedH = {e: j for j, e in enumerate(embedH)}
+    bcH = coh.BarComplex(H, MH)
+    bcK = coh.BarComplex(K, MK)
+    r = module.rank
+    out = np.zeros(bcK.dim(n), dtype=np.int64)
+    for idx, t in enumerate(bcK.tuples(n)):
+        back = tuple(inv_embedH[G.conj(G.inv(x), embedK[k])] for k in t)
+        out[idx * r:(idx + 1) * r] = module.act(x) @ bcH.block(f, back)
+    return (out % module.p if module.p else out), tgt
+
+
+def _oracle_cases():
+    rng = random.Random(3)
+    for G, top in ((make_cyclic(4), 3), (make_cyclic(6), 3), (make_klein4(), 3),
+                   (make_quaternion(3), 2)):
+        lat = gm.random_lattice(G, rng)
+        mods = [gm.make_trivial(G), gm.make_trivial(G, "F2"),
+                gm.make_augmentation_quotient(G), lat, lat.change_ring_mod(2)]
+        if len(G.generators) == 1:
+            mods.append(gm.make_sign_cyclic(G))
+        yield G, top, mods
+
+
+def _random_cochains(rng, M, length, rows=3):
+    lo, hi = (0, M.p) if M.p else (-5, 6)
+    return np.array([[rng.randrange(lo, hi) for _ in range(length)]
+                     for _ in range(rows)], dtype=np.int64).reshape(rows, length)
+
+
+def test_cochain_maps_match_per_tuple_reference():
+    rng = random.Random(7)
+    for G, top, mods in _oracle_cases():
+        for M in mods:
+            r = M.rank
+            for sub in G.subgroups():
+                for n in range(top + 1):
+                    dimG = (G.order - 1) ** n * r
+                    dimH = (sub.order - 1) ** n * r
+                    F = _random_cochains(rng, M, dimG)
+                    FH = _random_cochains(rng, M, dimH)
+                    res = coh.restriction_cochain(G, M, sub, F, n)
+                    cor = coh.corestriction_cochain(G, M, sub, FH, n)
+                    for k in range(len(F)):
+                        ref = _ref_restriction(G, M, sub, F[k], n)
+                        one = coh.restriction_cochain(G, M, sub, F[k], n)
+                        assert one.shape == ref.shape and np.array_equal(one, ref)
+                        assert np.array_equal(res[k], ref)
+                        ref = _ref_corestriction(G, M, sub, FH[k], n)
+                        one = coh.corestriction_cochain(G, M, sub, FH[k], n)
+                        assert one.shape == ref.shape and np.array_equal(one, ref)
+                        assert np.array_equal(cor[k], ref)
+                    for x in range(G.order):
+                        cf, tgt = coh.conjugation_cochain(G, M, sub, x, FH, n)
+                        for k in range(len(FH)):
+                            ref, ref_tgt = _ref_conjugation(G, M, sub, x, FH[k], n)
+                            one, one_tgt = coh.conjugation_cochain(G, M, sub, x, FH[k], n)
+                            assert tgt == one_tgt == ref_tgt
+                            assert one.shape == ref.shape and np.array_equal(one, ref)
+                            assert np.array_equal(cf[k], ref)
+
+
+def test_cochain_maps_take_empty_stacks():
+    G = make_klein4()
+    M = gm.make_trivial(G, "F2")
+    sub = G.generated_subgroup([1])
+    assert coh.restriction_cochain(G, M, sub, np.zeros((0, 9)), 2).shape == (0, 1)
+    assert coh.corestriction_cochain(G, M, sub, np.zeros((0, 1)), 2).shape == (0, 9)
+
+
+def test_transfer_checks_fail_without_one_coset(monkeypatch):
+    """Dropping the last coset's term from every transfer must make the
+    cor/res and double coset batteries report failures."""
+    def one_coset_short(G, module, subgroup, fH, n):
+        F = np.asarray(fH)
+        skip = subgroup.index - 1
+        if F.ndim == 1:
+            return _ref_corestriction(G, module, subgroup, F, n, skip)
+        out = [_ref_corestriction(G, module, subgroup, f, n, skip) for f in F]
+        return np.array(out).reshape(len(F), (G.order - 1) ** n * module.rank)
+
+    monkeypatch.setattr(coh, "corestriction_cochain", one_coset_short)
+    K4, Q8 = make_klein4(), make_quaternion(3)
+    checks = verify.cor_res_checks(K4, [gm.make_trivial(K4, "F2")], 2)
+    assert not all(c["ok"] for c in checks)
+    checks = verify.double_coset_checks(Q8, [gm.make_trivial(Q8, "F2")], 1)
+    assert not all(c["ok"] for c in checks)
+
+
+def test_cochain_maps_restrict_modules_once(monkeypatch):
+    """The batteries restrict each module to each subgroup at most once."""
+    original = gm.restrict
+    calls = collections.Counter()
+
+    def counted(M, subgroup):
+        calls[id(M), subgroup.elements] += 1
+        return original(M, subgroup)
+
+    for owner in (gm, verify, chow):
+        if getattr(owner, "restrict", None) is original:
+            monkeypatch.setattr(owner, "restrict", counted)
+    Q8, K4 = make_quaternion(3), make_klein4()
+    assert all(c["ok"] for c in verify.double_coset_checks(
+        Q8, [gm.make_trivial(Q8, "F2")], 2))
+    assert all(c["ok"] for c in verify.cor_res_checks(
+        K4, [gm.make_trivial(K4, "F2"), gm.omega_negative_klein(2)], 3))
+    assert calls and max(calls.values()) == 1

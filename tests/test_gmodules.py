@@ -254,3 +254,18 @@ def test_permutation_sum_of_trivial_subgroups_is_free():
         assert np.array_equal(F.act(g), R.direct_sum(R).act(g))
     assert [list(S[:, h]) for h in range(G.order)] == [list(M.apply(h, S[:, 0]))
                                                        for h in range(G.order)]
+
+
+def test_action_products_exact_past_int64_bound():
+    # the generator's entries are near 2^40, so the int64 bound on A @ A
+    # fails, but the true product (the identity) fits: the module builds
+    G = make_cyclic(2)
+    b = (1 << 40) + 3
+    M = gm.GModule(G, "Z", 2, {1: [[1, b], [0, -1]]})
+    assert M.act(0).dtype == np.int64
+    assert np.array_equal(M.act(1), [[1, b], [0, -1]])
+    # a product past int64 raises instead of wrapping
+    with pytest.raises(ValueError, match="int64"):
+        gm.GModule(make_cyclic(4), "Z", 1, {1: [[1 << 32]]}, check=False)
+    with pytest.raises(ValueError, match="int64"):
+        gm.GModule(G, "Z", 1, {1: [[1 << 32]]})
