@@ -3,6 +3,8 @@
 Vectors are stored 64 bits per uint64 word so coboundary spans with ~10^4
 coordinates stay cheap.  Elimination is vectorized one pivot at a time: the
 pivot row is XORed into every other row that has the pivot bit set.
+eliminate() is that loop; F2Span.add_matrix, express_mod_span and fp.rref
+at p = 2 all run it.
 """
 
 from __future__ import annotations
@@ -14,9 +16,28 @@ def n_words(n_bits):
     return (n_bits + 63) // 64
 
 
+def integer_array(mat):
+    """An integer matrix (an array, a list of rows or an object array) as
+    int64, or as an object array of Python ints when an entry does not fit;
+    an int64 array comes back as it is."""
+    try:
+        return np.asarray(mat, dtype=np.int64)
+    except OverflowError:
+        return np.asarray(mat, dtype=object)
+
+
 def pack_rows(mat):
-    """Pack a 0/1 matrix (any integer dtype) into uint64 rows."""
-    a = np.asarray(mat, dtype=np.uint8) & 1
+    """Pack an integer matrix, read mod 2, into uint64 rows.
+
+    The cast to uint8 keeps the low bit, which is the residue mod 2 of a
+    negative int64 too, so no int64 working copy is made; Python ints past
+    int64 are reduced first.
+    """
+    a = integer_array(mat)
+    if a.dtype == object:
+        a = a % 2
+    a = a.astype(np.uint8)
+    a &= 1
     if a.ndim == 1:
         a = a.reshape(1, -1)
     bits = np.packbits(a, axis=1, bitorder="little")
@@ -26,8 +47,11 @@ def pack_rows(mat):
     return padded.view(np.uint64).reshape(a.shape[0], w)
 
 
-def _get_bit(rows, bit):
-    return (rows[:, bit >> 6] >> np.uint64(bit & 63)) & np.uint64(1)
+def unpack_rows(rows, n_bits):
+    """The int64 0/1 matrix of packed uint64 rows, n_bits columns."""
+    bits = np.unpackbits(rows.view(np.uint8), axis=1, count=n_bits,
+                         bitorder="little")
+    return bits.astype(np.int64)
 
 
 def _lowest_bit(row):
@@ -37,6 +61,27 @@ def _lowest_bit(row):
     w = int(nz[0])
     word = int(row[w])
     return 64 * w + (word & -word).bit_length() - 1
+
+
+def eliminate(M):
+    """Fully reduce the packed uint64 rows of M in place, in row order.
+
+    A row still nonzero when its turn comes becomes the pivot row of its
+    lowest set bit and is XORed into every other row holding that bit, so
+    the pivot rows end mutually reduced and every other row zero.  Returns
+    the pivots as a dict bit -> row index, in the order they were found.
+    """
+    pivots = {}
+    for i in range(len(M)):
+        bit = _lowest_bit(M[i])
+        if bit is None:
+            continue
+        row = M[i].copy()
+        hit = np.flatnonzero(M[:, bit >> 6] & np.uint64(1 << (bit & 63)))
+        M[hit] ^= row  # row i too, which is put back
+        M[i] = row
+        pivots[bit] = i
+    return pivots
 
 
 class F2Span:
@@ -65,17 +110,7 @@ class F2Span:
             M = M.reshape(1, -1)
         if self.pivots:
             M = np.vstack([np.vstack(list(self.pivots.values())), M])
-            self.pivots = {}
-        n = len(M)
-        for i in range(n):
-            bit = _lowest_bit(M[i])
-            if bit is None:
-                continue
-            mask = _get_bit(M, bit).astype(bool)
-            mask[i] = False
-            if mask.any():
-                M[mask] ^= M[i]
-            self.pivots[bit] = M[i]
+        self.pivots = {bit: M[i] for bit, i in eliminate(M).items()}
 
     def residual(self, row):
         """Reduce a packed vector by the span; zero iff the vector is in it."""
@@ -114,39 +149,14 @@ def express_mod_span(span, basis_rows, target):
     """Coefficients writing target as a GF(2) combination of basis_rows
     modulo the given F2Span, or None.
 
-    basis_rows is a short list of packed vectors; work happens on residuals.
+    The residuals are eliminated with unit vectors appended past the last
+    bit, so the target's row, kept last and reduced by the rows above it,
+    ends as [0 | coefficients] exactly when a combination exists.
     """
-    res_basis = [span.residual(b) for b in basis_rows]
-    res_t = span.residual(target)
-    k = len(res_basis)
-    if k == 0:
-        return [] if not res_t.any() else None
-    # small dense solve on the residuals with coefficient tracking
-    aug = []  # (vector, coeff bitmask over basis indices)
-    for i, v in enumerate(res_basis):
-        aug.append([v.copy(), 1 << i])
-    piv = {}
-    for vec, mask in aug:
-        v, m = vec, mask
-        while True:
-            bit = _lowest_bit(v)
-            if bit is None:
-                break
-            if bit in piv:
-                pv, pm = piv[bit]
-                v = v ^ pv
-                m ^= pm
-            else:
-                piv[bit] = (v, m)
-                break
-    v, m = res_t.copy(), 0
-    while True:
-        bit = _lowest_bit(v)
-        if bit is None:
-            break
-        if bit not in piv:
-            return None
-        pv, pm = piv[bit]
-        v = v ^ pv
-        m ^= pm
-    return [(m >> i) & 1 for i in range(k)]
+    k, n = len(basis_rows), span.n_bits
+    res = [span.residual(v) for v in list(basis_rows) + [target]]
+    bits = unpack_rows(np.array(res), n)
+    M = pack_rows(np.hstack([bits, np.eye(k + 1, k, dtype=np.int64)]))
+    eliminate(M)
+    last = unpack_rows(M[-1:], n + k)[0]
+    return None if last[:n].any() else last[n:].tolist()

@@ -1,19 +1,26 @@
 """Dense linear algebra over small prime fields (p in {2, 3, 5}).
 
-Matrices are numpy int64 arrays with entries reduced mod p.  Sizes here are
-module-level (a few hundred), so plain Gaussian elimination is enough; the
-bar-resolution scale work over F_2 lives in f2.py with packed bit rows.
+Matrices are numpy int64 arrays with entries reduced mod p.  Every
+elimination goes through rref, which bar-complex coboundaries reach with
+thousands of rows.  At p = 2 it packs the rows 64 bits a word and runs the
+packed elimination of f2, so no dense int64 working copy is made; at p = 3
+and 5 each pivot updates all the rows it hits in one blocked int64 step.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import f2
+from .intlin import _ROW_BLOCK
+
 SUPPORTED_PRIMES = (2, 3, 5)
 
 
 def asmod(a, p):
-    return np.asarray(a, dtype=np.int64) % p
+    """An int64 copy of an integer matrix with entries reduced mod p."""
+    a = f2.integer_array(a)
+    return (a % p).astype(np.int64, copy=False)
 
 
 def _inv_mod(x, p):
@@ -21,27 +28,37 @@ def _inv_mod(x, p):
 
 
 def rref(a, p):
-    """Reduced row echelon form; returns (R, pivot_columns)."""
+    """Reduced row echelon form of an integer matrix mod p; returns
+    (R, pivot_columns), where R holds only the len(pivot_columns) nonzero
+    rows."""
+    a = f2.integer_array(a)
+    if p == 2:
+        M = f2.pack_rows(a)
+        n = a.shape[1]
+        pivots = f2.eliminate(M)
+        cols = sorted(pivots)
+        return f2.unpack_rows(M[[pivots[c] for c in cols]], n), cols
     R = asmod(a, p)
     m, n = R.shape
-    pivots = []
-    row = 0
+    cols = []
     for col in range(n):
-        if row >= m:
+        top = len(cols)
+        if top == m:
             break
-        nz = np.nonzero(R[row:, col])[0]
+        nz = np.flatnonzero(R[top:, col])
         if nz.size == 0:
             continue
-        piv = row + int(nz[0])
-        if piv != row:
-            R[[row, piv]] = R[[piv, row]]
-        R[row] = (R[row] * _inv_mod(R[row, col], p)) % p
-        for r in range(m):
-            if r != row and R[r, col]:
-                R[r] = (R[r] - R[r, col] * R[row]) % p
-        pivots.append(col)
-        row += 1
-    return R, pivots
+        piv = top + int(nz[0])
+        if piv != top:
+            R[[top, piv]] = R[[piv, top]]
+        R[top] = (R[top] * _inv_mod(R[top, col], p)) % p
+        hit = np.flatnonzero(R[:, col])
+        hit = hit[hit != top]
+        for s in range(0, hit.size, _ROW_BLOCK):
+            h = hit[s:s + _ROW_BLOCK]
+            R[h] = (R[h] - np.outer(R[h, col], R[top])) % p
+        cols.append(col)
+    return R[:len(cols)].copy(), cols
 
 
 def rank(a, p):
@@ -50,15 +67,12 @@ def rank(a, p):
 
 def nullspace(a, p):
     """Basis of {x : A x = 0} as rows of a matrix."""
-    a = asmod(a, p)
-    m, n = a.shape
     R, pivots = rref(a, p)
-    free = [c for c in range(n) if c not in pivots]
-    basis = np.zeros((len(free), n), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for i, pc in enumerate(pivots):
-            basis[k, pc] = (-R[i, fc]) % p
+    n = R.shape[1]
+    free = np.delete(np.arange(n), pivots)
+    basis = np.zeros((free.size, n), dtype=np.int64)
+    basis[:, pivots] = (-R[:, free].T) % p
+    basis[np.arange(free.size), free] = 1
     return basis
 
 
@@ -68,15 +82,12 @@ def solve(a, b, p):
     b = asmod(b, p)
     single = b.ndim == 1
     B = b.reshape(-1, 1) if single else b
-    m, n = a.shape
-    aug = np.concatenate([a, B], axis=1)
-    R, pivots = rref(aug, p)
-    pivots_a = [c for c in pivots if c < n]
-    if len(pivots_a) != len(pivots):
+    n = a.shape[1]
+    R, pivots = rref(np.concatenate([a, B], axis=1), p)
+    if pivots and pivots[-1] >= n:
         return None
     X = np.zeros((n, B.shape[1]), dtype=np.int64)
-    for i, pc in enumerate(pivots_a):
-        X[pc] = R[i, n:]
+    X[pivots] = R[:, n:]
     return X[:, 0] if single else X
 
 
@@ -91,31 +102,11 @@ class Span:
     """
 
     def __init__(self, n, p, rows=()):
-        """Span of the given rows, reduced together in one elimination.
-
-        Unlike rref, each pivot updates all the rows it hits in one step;
-        rref keeps its per-row loop because the bar matrices it gets are
-        large enough for those temporaries to show in peak memory.
-        """
+        """Span of the given rows, reduced together by one rref."""
         self.n = n
         self.p = p
-        self.cols = []  # pivot column of each stored row
-        R = asmod(rows, p).reshape(len(rows), n)
-        for col in range(n):
-            top = len(self.cols)
-            if top == len(R):
-                break
-            nz = np.flatnonzero(R[top:, col])
-            if nz.size == 0:
-                continue
-            piv = top + int(nz[0])
-            R[[top, piv]] = R[[piv, top]]
-            R[top] = (R[top] * _inv_mod(R[top, col], p)) % p
-            hit = np.flatnonzero(R[:, col])
-            hit = hit[hit != top]
-            R[hit] = (R[hit] - np.outer(R[hit, col], R[top])) % p
-            self.cols.append(col)
-        self.rows = R[:len(self.cols)].copy()
+        self.rows, self.cols = rref(
+            f2.integer_array(rows).reshape(len(rows), n), p)
 
     @property
     def rank(self):
@@ -144,5 +135,5 @@ class Span:
         return True
 
     def basis(self):
-        """The rows sorted by pivot column: rref(rows)[0][:rank]."""
+        """The rows sorted by pivot column: rref(rows)[0]."""
         return self.rows[np.argsort(self.cols, kind="stable")]

@@ -346,6 +346,163 @@ def test_fp_rref_nullspace_solve():
             assert not ((A @ sol - b) % p).any()
 
 
+def _reference_rref(a, p):
+    """Gauss-Jordan elimination one row update at a time, on the exact
+    residues of an integer array: the loop fp.rref used to run.  Returns
+    (nonzero rows of the RREF, pivot columns)."""
+    R = (np.array(a, dtype=object) % p).astype(np.int64)
+    m, n = R.shape
+    pivots = []
+    row = 0
+    for col in range(n):
+        if row >= m:
+            break
+        nz = np.nonzero(R[row:, col])[0]
+        if nz.size == 0:
+            continue
+        piv = row + int(nz[0])
+        if piv != row:
+            R[[row, piv]] = R[[piv, row]]
+        R[row] = (R[row] * pow(int(R[row, col]), p - 2, p)) % p
+        for r in range(m):
+            if r != row and R[r, col]:
+                R[r] = (R[r] - R[r, col] * R[row]) % p
+        pivots.append(col)
+        row += 1
+    return R[:row], pivots
+
+
+def _reference_nullspace(R, pivots, n, p):
+    free = [c for c in range(n) if c not in pivots]
+    basis = np.zeros((len(free), n), dtype=np.int64)
+    for k, fc in enumerate(free):
+        basis[k, fc] = 1
+        for i, pc in enumerate(pivots):
+            basis[k, pc] = (-R[i, fc]) % p
+    return basis
+
+
+def _reference_solve(a, b, p):
+    """The solution with every free variable zero, or None."""
+    n = a.shape[1]
+    R, pivots = _reference_rref(np.concatenate([a, b], axis=1), p)
+    if any(c >= n for c in pivots):
+        return None
+    X = np.zeros((n, b.shape[1]), dtype=np.int64)
+    for i, pc in enumerate(pivots):
+        X[pc] = R[i, n:]
+    return X
+
+
+def _fp_matrices(rng, p):
+    """Seeded integer matrices: empty both ways, 1 x 1, tall, wide and
+    square, sparse enough to be rank-deficient often, with negative
+    entries.  Each comes as an int64 array and as an object array of the
+    same residues whose entries lie past 2^63."""
+    shapes = [(0, 4), (4, 0), (0, 0), (1, 1), (11, 3), (3, 11), (6, 6)]
+    shapes += [(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(20)]
+    out = []
+    for m, n in shapes:
+        A = np.array([[rng.randint(-7, 7) if rng.random() < 0.6 else 0
+                       for _ in range(n)] for _ in range(m)],
+                     dtype=np.int64).reshape(m, n)
+        big = np.array([[x + p * rng.randrange(1 << 63, 1 << 70) for x in row]
+                        for row in A.tolist()], dtype=object).reshape(m, n)
+        out += [A, big]
+    return out
+
+
+def _bar_matrices():
+    """Bar coboundaries: Q8 over F_2 (delta_1..delta_3, up to 2401 x 343)
+    and C3 over F_3 (delta_7, delta_8)."""
+    from chowtwist.cohomology import BarComplex
+    from chowtwist.gmodules import make_trivial
+    from chowtwist.groups import make_cyclic, make_quaternion
+    q8 = BarComplex(make_quaternion(3), make_trivial(make_quaternion(3), "F2"))
+    c3 = BarComplex(make_cyclic(3), make_trivial(make_cyclic(3), "F3"))
+    return ([(q8.delta_matrix(n), 2) for n in (1, 2, 3)]
+            + [(c3.delta_matrix(n), 3) for n in (7, 8)])
+
+
+def _check_fp_against_reference(A, p, rng, reference_solve=True):
+    before = A.copy()
+    m, n = A.shape
+    want_R, want_piv = _reference_rref(A, p)
+    R, piv = fp.rref(A, p)
+    assert R.dtype == np.int64 and R.shape == (len(piv), n)
+    assert piv == want_piv and np.array_equal(R, want_R)
+    assert fp.rank(A, p) == len(want_piv)
+    want_N = _reference_nullspace(want_R, want_piv, n, p)
+    assert np.array_equal(fp.nullspace(A, p), want_N)
+    assert np.array_equal(fp.Span(n, p, A).basis(), want_R)
+    residues = (np.array(A, dtype=object) % p).astype(np.int64)
+    X = np.array([[rng.randrange(p) for _ in range(2)] for _ in range(n)],
+                 dtype=np.int64).reshape(n, 2)
+    B = residues @ X % p
+    if reference_solve:
+        noise = np.array([[rng.randrange(p) for _ in range(2)] for _ in range(m)],
+                         dtype=np.int64).reshape(m, 2)
+        for b in (B, noise, B[:, 0], noise[:, 0]):
+            want = _reference_solve(residues, b[:, None] if b.ndim == 1 else b, p)
+            got = fp.solve(A, b, p)
+            if want is None:
+                assert got is None
+            else:
+                assert np.array_equal(got, want[:, 0] if b.ndim == 1 else want)
+    else:
+        # the solution whose free variables are zero is the reference's
+        sol = fp.solve(A, B, p)
+        assert not ((residues @ sol - B) % p).any()
+        assert not sol[[c for c in range(n) if c not in want_piv]].any()
+    # the caller's array is read, never written
+    assert A.dtype == before.dtype and np.array_equal(A, before)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_fp_elimination_matches_per_row_reference(p):
+    rng = random.Random(200 + p)
+    for A in _fp_matrices(rng, p):
+        _check_fp_against_reference(A, p, rng)
+        if len(A):  # a list with no rows does not know its width
+            R, piv = fp.rref(A.tolist(), p)
+            want_R, want_piv = _reference_rref(A, p)
+            assert piv == want_piv and np.array_equal(R, want_R)
+
+
+def test_fp_elimination_matches_reference_on_bar_matrices():
+    rng = random.Random(210)
+    for d, p in _bar_matrices():
+        _check_fp_against_reference(d, p, rng, reference_solve=False)
+
+
+@pytest.mark.parametrize("rows,bits", [
+    ([[-1, 2, 3]], [1, 0, 1]),  # a list with an entry outside 0..255
+    ([[256, 257, -2, -255]], [0, 1, 0, 1]),
+    (np.array([[-3, -4, 7]], dtype=np.int64), [1, 0, 1]),  # negative int64
+    # Python ints past 2^63, in an object array and in a list
+    (np.array([[1 << 64, (1 << 63) + 1, -(1 << 70) - 1]], dtype=object),
+     [0, 1, 1]),
+    ([[1 << 63, -1, 1 << 80]], [0, 1, 0]),
+], ids=["list", "list-wide", "int64-negative", "object-big", "list-big"])
+def test_f2_pack_reads_integers_mod_2(rows, bits):
+    packed = f2.pack_rows(rows)
+    assert np.array_equal(f2.unpack_rows(packed, len(bits)), [bits])
+    assert np.array_equal(packed, f2.pack_rows(np.array([bits], dtype=np.uint8)))
+
+
+def test_f2_pack_makes_no_int64_copy():
+    import tracemalloc
+    M = np.arange(-1000, 1000, dtype=np.int64).reshape(40, 50).repeat(20, axis=0)
+    tracemalloc.start()
+    try:
+        packed = f2.pack_rows(M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(f2.unpack_rows(packed, 50), M % 2)
+    assert peak < 3 * M.size  # a uint8 copy and its packed bits, well below 8 bytes a cell
+
+
 def test_f2_pack_roundtrip():
     rng = random.Random(5)
     M = np.array([[rng.randrange(2) for _ in range(130)] for _ in range(7)],
