@@ -38,13 +38,28 @@ class ParseError(ChowtwistError):
     pass
 
 
+# what reading a malformed input file or subgroup raises (OverflowError for
+# an entry past int64); ChowtwistError subclasses are not among them and
+# keep their own exit codes
+_BAD_INPUT = (ValueError, KeyError, TypeError, OverflowError)
+
+
+def _read_file(path, what, parse):
+    """parse(text) of a file named on the command line; a file that cannot
+    be read or parsed is a ParseError."""
+    try:
+        with open(path) as fh:
+            return parse(fh.read())
+    except OSError as exc:
+        raise ParseError("cannot read %s file: %s" % (what, exc))
+    except _BAD_INPUT as exc:
+        raise ParseError("malformed %s file %s: %s: %s"
+                         % (what, path, type(exc).__name__, exc))
+
+
 def parse_group(spec):
     if spec.endswith(".json") or os.path.sep in spec:
-        try:
-            with open(spec) as fh:
-                return FiniteGroup.from_json(fh.read())
-        except OSError as exc:
-            raise ParseError("cannot read group file: %s" % exc)
+        return _read_file(spec, "group", FiniteGroup.from_json)
     try:
         return group_by_name(spec)
     except SizePolicyError as exc:
@@ -59,11 +74,8 @@ def parse_module(group, spec):
     """Named module constructors; see the README for the list."""
     name = spec.strip()
     if name.endswith(".json"):
-        try:
-            with open(name) as fh:
-                return GModule.from_json(fh.read(), group)
-        except OSError as exc:
-            raise ParseError("cannot read module file: %s" % exc)
+        return _read_file(name, "module",
+                          lambda text: GModule.from_json(text, group))
     if name in ("trivialZ", "trivial"):
         return make_trivial(group, "Z")
     if name == "trivialF2":
@@ -94,14 +106,15 @@ def parse_module(group, spec):
         return l_zeta_klein(ZETA_NAMES[parts[1]], _int(parts[2], "l_zeta power"))
     if name.startswith("permutation:"):
         rest = name.split(":", 1)[1]
-        if rest in SUBGROUP_NAMES and group.name == "Klein4":
-            seed = SUBGROUP_NAMES[rest]
-        else:
-            try:
+        try:
+            if rest in SUBGROUP_NAMES and group.name == "Klein4":
+                seed = SUBGROUP_NAMES[rest]
+            else:
                 seed = [int(x) for x in rest.split(",") if x != ""]
-            except ValueError:
-                raise ParseError("permutation subgroup must be element indices")
-        sub = group.generated_subgroup(seed)
+            sub = group.generated_subgroup(seed)
+        except _BAD_INPUT as exc:
+            raise ParseError("permutation subgroup must be element indices"
+                             " of the group: %s" % exc)
         return make_permutation(group, sub)
     if name.startswith("counterexample:"):
         parts = name.split(":")

@@ -4,7 +4,8 @@ Matrices are numpy int64 arrays with entries reduced mod p.  Every
 elimination goes through rref, which bar-complex coboundaries reach with
 thousands of rows.  At p = 2 it packs the rows 64 bits a word and runs the
 packed elimination of f2, so no dense int64 working copy is made; at p = 3
-and 5 each pivot updates all the rows it hits in one blocked int64 step.
+and 5 it runs the blocked int64 unit-pivot elimination of intlin, the one
+that counts invariant factors over Z/p^k, in its reduced form.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import f2
-from .intlin import _ROW_BLOCK
+from .intlin import _eliminate
 
 SUPPORTED_PRIMES = (2, 3, 5)
 
@@ -21,10 +22,6 @@ def asmod(a, p):
     """An int64 copy of an integer matrix with entries reduced mod p."""
     a = f2.integer_array(a)
     return (a % p).astype(np.int64, copy=False)
-
-
-def _inv_mod(x, p):
-    return pow(int(x), p - 2, p)
 
 
 def rref(a, p):
@@ -38,27 +35,10 @@ def rref(a, p):
         pivots = f2.eliminate(M)
         cols = sorted(pivots)
         return f2.unpack_rows(M[[pivots[c] for c in cols]], n), cols
-    R = asmod(a, p)
-    m, n = R.shape
-    cols = []
-    for col in range(n):
-        top = len(cols)
-        if top == m:
-            break
-        nz = np.flatnonzero(R[top:, col])
-        if nz.size == 0:
-            continue
-        piv = top + int(nz[0])
-        if piv != top:
-            R[[top, piv]] = R[[piv, top]]
-        R[top] = (R[top] * _inv_mod(R[top, col], p)) % p
-        hit = np.flatnonzero(R[:, col])
-        hit = hit[hit != top]
-        for s in range(0, hit.size, _ROW_BLOCK):
-            h = hit[s:s + _ROW_BLOCK]
-            R[h] = (R[h] - np.outer(R[h, col], R[top])) % p
-        cols.append(col)
-    return R[:len(cols)].copy(), cols
+    W = asmod(a, p)
+    m = W.shape[0]
+    cols = _eliminate(W, p, p, m, reduced=True)
+    return W[m - len(cols):][::-1].copy(), cols  # the retired rows
 
 
 def rank(a, p):
@@ -127,7 +107,7 @@ class Span:
         if nz.size == 0:
             return False
         col = int(nz[0])
-        v = (v * _inv_mod(v[col], self.p)) % self.p
+        v = (v * pow(int(v[col]), -1, self.p)) % self.p
         # keep the stored rows reduced at the new pivot column
         self.rows = (self.rows - np.outer(self.rows[:, col], v)) % self.p
         self.rows = np.vstack([self.rows, v])

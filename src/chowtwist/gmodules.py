@@ -29,28 +29,6 @@ def ring_prime(ring):
     raise ValueError("unsupported ring %r" % ring)
 
 
-def _det_int(mat):
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    a = [[int(x) for x in row] for row in mat]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 class GModule:
     """Module of finite rank over Z or F_p with an action of a FiniteGroup."""
 
@@ -111,14 +89,13 @@ class GModule:
         G = self.group
         if not np.array_equal(self._mats[G.identity], np.eye(self.rank, dtype=np.int64)):
             raise ValueError("identity must act trivially")
+        # act(a) act(a^-1) = act(e) = I is among the products checked, so
+        # every integral act(a) has determinant +-1 once these pass
         for a in range(G.order):
-            ma = self._mats[a]
             for b in range(G.order):
                 prod = self._product(a, b)
                 if not np.array_equal(prod, self._mats[G.mul(a, b)]):
                     raise ValueError("action is not a homomorphism at (%d,%d)" % (a, b))
-            if self.p is None and self.rank and _det_int(ma) not in (1, -1):
-                raise ValueError("integral action matrix must be invertible over Z")
 
     def act(self, g):
         return self._mats[g]
@@ -132,14 +109,22 @@ class GModule:
         s = sum(self._mats[g] for g in range(self.group.order))
         return s % self.p if self.p else s
 
-    def fixed_points(self):
-        """Basis of {v : g v = v for all g}; saturated over Z.
+    def fixed_points(self, subgroup=None):
+        """Basis of {v : g v = v for all g} in the group, or in the given
+        subgroup; saturated over Z.
 
-        Returns a list of rank-length integer vectors (rows).
+        The group's fixed points are cut out by its generators, a
+        subgroup's by each of its non-identity elements.  Returns a list of
+        rank-length integer vectors (rows).
         """
-        gens = self.group.generators
         if self.rank == 0:
             return []
+        if subgroup is None:
+            gens = self.group.generators
+        else:
+            gens = [h for h in subgroup.elements if h != self.group.identity]
+            if not gens:
+                return np.eye(self.rank, dtype=np.int64).tolist()
         stacked = np.vstack([self.act(g) - np.eye(self.rank, dtype=np.int64) for g in gens])
         if self.p:
             return [list(v) for v in fp.nullspace(stacked, self.p)]

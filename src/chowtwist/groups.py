@@ -54,7 +54,7 @@ class FiniteGroup:
         self.inverse.setflags(write=False)
         if generators is None:
             generators = [i for i in range(n) if i != self.identity] or [self.identity]
-        self.generators = [int(g) for g in generators]
+        self.generators = self._indices(generators)
         if self._closure(self.generators) != set(range(n)):
             raise ValueError("declared generators do not generate the group")
         self.name = name or "G%d" % n
@@ -94,11 +94,18 @@ class FiniteGroup:
             frontier = nxt
         return seen
 
+    def _indices(self, elements):
+        """The elements as ints; a ValueError unless each is in 0..order-1."""
+        els = [int(e) for e in elements]
+        if not all(0 <= e < self.order for e in els):
+            raise ValueError("element index outside 0..%d" % (self.order - 1))
+        return els
+
     def subgroup(self, elements):
         return Subgroup(self, elements)
 
     def generated_subgroup(self, seed):
-        return Subgroup(self, sorted(self._closure(list(seed))))
+        return Subgroup(self, sorted(self._closure(self._indices(seed))))
 
     def trivial_subgroup(self):
         return Subgroup(self, [self.identity])
@@ -164,7 +171,7 @@ class Subgroup:
 
     def __init__(self, parent, elements):
         self.parent = parent
-        els = sorted(set(int(e) for e in elements))
+        els = sorted(set(parent._indices(elements)))
         self.elements = tuple(els)
         s = set(els)
         if parent.identity not in s:

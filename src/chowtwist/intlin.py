@@ -13,7 +13,8 @@ Invariant factors of finite quotients come from a modular kernel instead:
 the caller passes an exponent that every nonzero invariant factor divides,
 and elimination runs in int64 numpy arrays modulo small prime powers
 (Iliopoulos, SIAM J. Comput. 18, 1989; Dumas-Saunders-Villard, J. Symb.
-Comput. 32, 2001).  The Smith normal form stays for its row transform,
+Comput. 32, 2001).  The same unit-pivot elimination, in reduced form, is
+fp.rref at p = 3 and 5.  The Smith normal form stays for its row transform,
 which it keeps as a numpy array, and as the reference the tests compare
 against.  Products of numpy matrices that may grow go through product(),
 which switches to exact Python ints before int64 could wrap.
@@ -398,6 +399,45 @@ def _residues(rows, q):
     return np.ascontiguousarray(W.T) if W.shape[1] > W.shape[0] else W
 
 
+def _eliminate(W, p, q, live, reduced=False):
+    """Unit-pivot elimination over Z/q, q a power of the prime p, in place.
+
+    Sweeps the columns in order.  The pivot of a column is the first of the
+    live rows W[:live] with a unit there; the column is cleared from the
+    other live rows, _ROW_BLOCK whole rows at a time, and the pivot row is
+    retired to W[live - 1].  With reduced, the pivot row is first scaled to
+    1 and the column is cleared from every other row, retired rows included,
+    so that the retired rows, read from the last one up, are the RREF in
+    pivot-column order.  Returns the pivot columns.
+    """
+    cols = []
+    for c in range(W.shape[1]):
+        if not live:
+            break
+        col = W[:, c] if reduced else W[:live, c]  # the rows to clear
+        units = np.flatnonzero(col[:live] % p)
+        if not units.size:
+            # no later row operation of this sweep makes a unit here
+            continue
+        r = int(units[0])
+        inv = pow(int(col[r]), -1, q)
+        if reduced:
+            W[r] = W[r] * inv % q
+            inv = 1
+        others = np.flatnonzero(col)
+        others = others[others != r]
+        f = col[others] * inv % q
+        # whole rows: columns swept earlier must follow too
+        for s in range(0, others.size, _ROW_BLOCK):
+            hit = others[s:s + _ROW_BLOCK]
+            W[hit] = (W[hit] - f[s:s + _ROW_BLOCK, None] * W[r]) % q
+        live -= 1
+        if r != live:
+            W[[r, live]] = W[[live, r]]
+        cols.append(c)
+    return cols
+
+
 def _pivot_counts(rows, p, levels):
     """Number of invariant factors of each p-adic valuation 0..levels-1.
 
@@ -411,28 +451,8 @@ def _pivot_counts(rows, p, levels):
     live = W.shape[0]  # rows W[:live] have no pivot yet
     counts = []
     for level in range(levels):
-        found = 0
-        for c in range(W.shape[1]):
-            if not live:
-                break
-            col = W[:live, c]
-            units = np.flatnonzero(col % p)
-            if not units.size:
-                # no later row operation of this level makes a unit here
-                continue
-            r = int(units[0])
-            others = np.flatnonzero(col)
-            others = others[others != r]
-            f = col[others] * pow(int(col[r]), -1, q) % q
-            # whole rows: columns swept earlier must follow too
-            for s in range(0, others.size, _ROW_BLOCK):
-                hit = others[s:s + _ROW_BLOCK]
-                W[hit] = (W[hit] - f[s:s + _ROW_BLOCK, None] * W[r]) % q
-            live -= 1
-            if r != live:
-                W[[r, live]] = W[[live, r]]
-            found += 1
-        counts.append(found)
+        counts.append(len(_eliminate(W, p, q, live)))
+        live -= counts[-1]
         if level + 1 < levels and live:
             W[:live] //= p
             q //= p

@@ -87,28 +87,14 @@ class CoflasqueResolution:
 
 def fixed_surjective(P, M, S, subgroup):
     """Does the matrix S map P^H onto M^H?"""
-    fixP = _fixed_under(P, subgroup)
-    fixM = _fixed_under(M, subgroup)
+    fixP = P.fixed_points(subgroup)
+    fixM = M.fixed_points(subgroup)
     if not fixM:
         return True
     lat = fp.Span(M.rank, M.p) if M.p else intlin.IntLattice(M.rank)
     for v in fixP:
         lat.add([int(x) for x in S @ np.asarray(v, dtype=np.int64)])
     return all(lat.contains([int(x) for x in w]) for w in fixM)
-
-
-def _fixed_under(module, subgroup):
-    """Basis of the fixed points of a subgroup acting through the module."""
-    G = module.group
-    gens = [h for h in subgroup.elements if h != G.identity]
-    if not gens or module.rank == 0:
-        return [[1 if i == j else 0 for i in range(module.rank)]
-                for j in range(module.rank)]
-    stacked = np.vstack([module.act(h) - np.eye(module.rank, dtype=np.int64)
-                         for h in gens])
-    if module.p:
-        return [list(v) for v in fp.nullspace(stacked, module.p)]
-    return intlin.kernel_basis(stacked)
 
 
 def coflasque_resolution(M, prune=False):
@@ -123,7 +109,7 @@ def coflasque_resolution(M, prune=False):
     G = M.group
     pieces = []
     for S in G.subgroups():
-        for w in _fixed_under(M, S):
+        for w in M.fixed_points(S):
             pieces.append((S, list(w)))
     if prune:
         pieces = _prune_pieces(G, M, pieces)

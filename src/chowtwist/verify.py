@@ -22,8 +22,7 @@ from .gmodules import (make_augmentation_quotient, make_klein4, make_regular,
                        omega_klein, omega_negative_klein, random_cyclic_module,
                        random_lattice, restrict)
 from .groups import make_cyclic, make_quaternion
-from .lattices import (_fixed_under, coflasque_resolution, counterexample_lattices,
-                       is_coflasque)
+from .lattices import coflasque_resolution, counterexample_lattices, is_coflasque
 
 
 def _check(name, expected, computed):
@@ -168,7 +167,7 @@ def coflasque_checks(m):
     for a in (1, 2, 3):
         H = G.generated_subgroup([a])
         out.append(_check("m=%d rank(A^H_%d)" % (m, a), 3 * m + 1,
-                          len(_fixed_under(data.A, H))))
+                          len(data.A.fixed_points(H))))
     ok, wit = is_coflasque(data.A)
     out.append(_check_bool("m=%d A coflasque" % m, ok, repr(wit)))
     # kernel of P -> A

@@ -172,6 +172,51 @@ def test_parse_error_exit_2(capsys):
                      "--degree", "2..1"]) == cli.EXIT_PARSE
 
 
+@pytest.mark.parametrize("defect", ["truncated", "generator_index"])
+def test_malformed_group_file_exit_2(defect, tmp_path, capsys):
+    from chowtwist.groups import make_cyclic
+    desc = make_cyclic(4).to_json()
+    if defect == "truncated":
+        text = json.dumps(desc)[:40]
+    else:
+        text = json.dumps(dict(desc, generators=[99]))
+    path = tmp_path / "c4.json"
+    path.write_text(text)
+    assert cli.main(["cohomology", "--group", str(path), "--module", "trivialZ",
+                     "--degree", "1"]) == cli.EXIT_PARSE
+    assert "malformed group file" in capsys.readouterr().err
+
+
+# a C4 sign-module file with its action replaced, and what stderr names
+_BAD_ACTIONS = {
+    "wrong_shape": (lambda lab: {lab: [[1, 0], [0, 1]]}, "wrong shape"),
+    "unknown_generator": (lambda lab: {"nonesuch": [[-1]]}, "KeyError"),
+    "entry_past_int64": (lambda lab: {lab: [[1 << 70]]}, "OverflowError"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(_BAD_ACTIONS))
+def test_malformed_module_file_exit_2(defect, tmp_path, capsys):
+    from chowtwist import gmodules as gm
+    from chowtwist.groups import make_cyclic
+    action, message = _BAD_ACTIONS[defect]
+    desc = gm.make_sign_cyclic(make_cyclic(4)).to_json()
+    (lab,) = desc["action"]
+    desc["action"] = action(lab)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(desc))
+    assert cli.main(["cohomology", "--group", "C4", "--module", str(path),
+                     "--degree", "1"]) == cli.EXIT_PARSE
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("indices", ["99", "-1"])
+def test_permutation_index_outside_the_group_exit_2(indices, capsys):
+    assert cli.main(["coflasque", "--group", "C4",
+                     "--module", "permutation:" + indices]) == cli.EXIT_PARSE
+    assert "element index outside 0..3" in capsys.readouterr().err
+
+
 def test_resource_cap_exit_3(capsys, monkeypatch):
     monkeypatch.setenv("CHOWTWIST_MAX_CELLS", "50")
     code = cli.main(["cohomology", "--group", "C6", "--module", "regular",

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from chowtwist import gmodules as gm
+from chowtwist import fp, gmodules as gm, intlin
 from chowtwist.groups import FiniteGroup, make_cyclic, make_klein4, make_quaternion
 
 
@@ -155,6 +155,35 @@ def test_random_lattice_valid():
             assert M.rank >= 1
             # constructor validates the action; also check integrality
             assert M.act(G.generators[0]).dtype == np.int64
+
+
+def _same_span(M, a, b):
+    """Do the rows a and b span the same lattice (the same subspace mod p)?"""
+    if M.p:
+        return np.array_equal(fp.rref(np.reshape(a, (len(a), M.rank)), M.p)[0],
+                              fp.rref(np.reshape(b, (len(b), M.rank)), M.p)[0])
+    la, lb = intlin.IntLattice(M.rank), intlin.IntLattice(M.rank)
+    for v in a:
+        la.add(v)
+    for v in b:
+        lb.add(v)
+    return all(lb.contains(v) for v in a) and all(la.contains(v) for v in b)
+
+
+def test_fixed_points_of_the_full_subgroup_span_the_same_lattice():
+    """Generators and all non-identity elements cut out the same fixed
+    lattice; the bases may differ, so the spans are compared."""
+    rng = random.Random(13)
+    for G in (make_cyclic(4), make_cyclic(6), make_klein4(), make_quaternion(3)):
+        for _ in range(4):
+            M = gm.random_lattice(G, rng)
+            for N in (M, M.change_ring_mod(2)):
+                assert _same_span(N, N.fixed_points(), N.fixed_points(G.full_subgroup()))
+                for H in G.subgroups():
+                    for v in N.fixed_points(H):
+                        assert all(np.array_equal(N.apply(h, v), v) for h in H.elements)
+    M = gm.make_regular(make_klein4())
+    assert M.fixed_points(M.group.trivial_subgroup()) == np.eye(4, dtype=int).tolist()
 
 
 def test_restrict_and_induce():

@@ -114,3 +114,16 @@ def test_json_roundtrip():
     assert G2.order == G.order
     assert G2.table.tolist() == G.table.tolist()
     assert G2.name == G.name
+
+
+def test_subgroup_element_indices_are_range_checked():
+    G = make_cyclic(4)
+    for seed in ([-1], [4], [1, 99]):
+        with pytest.raises(ValueError):
+            G.generated_subgroup(seed)
+    for elements in ([0, -1], [0, 4]):
+        with pytest.raises(ValueError):
+            G.subgroup(elements)
+    with pytest.raises(ValueError):
+        FiniteGroup(G.table, generators=[99])
+    assert G.generated_subgroup([3]).elements == (0, 1, 2, 3)

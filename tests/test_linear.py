@@ -12,7 +12,28 @@ import pytest
 
 from chowtwist import f2, fp, intlin
 from chowtwist.errors import VerificationError
-from chowtwist.gmodules import _det_int
+
+
+def _det_int(mat):
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    a = [[int(x) for x in row] for row in mat]
+    n = len(a)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 def _rand_matrix(rng, m, n, lo=-5, hi=5):

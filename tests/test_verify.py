@@ -1,5 +1,10 @@
+import ast
 import concurrent.futures
 import os
+import subprocess
+import sys
+
+import pytest
 
 from chowtwist import gmodules, verify
 
@@ -48,3 +53,74 @@ def test_cyclic_oracle_independent_of_closed_form(monkeypatch):
     periodic = [c for c in verify.cyclic_checks(4) if "vs periodic" in c["name"]]
     assert len(periodic) == 15
     assert not any(c["ok"] for c in periodic)
+
+
+# One tamper per VerificationError check that had no python -O test: each
+# snippet makes the named check fire, and -O must not strip it.  The leading
+# assert proves the snippet runs optimised.
+_TAMPERS = {
+    "mackey_equivariance": (
+        "from chowtwist import chow, gmodules as gm\n"
+        "from chowtwist.groups import make_klein4\n"
+        "G = make_klein4()\n"
+        "# Z[G] -> Z[G/1] sending the generator to one coset only\n"
+        "psi = np.array([[1], [0], [0], [0]])\n"
+        "chow.twisted_motivic_klein(gm.make_trivial(G, 'F2'), 1, resolutions=(\n"
+        "    [G.trivial_subgroup()], [G.full_subgroup()], psi))\n",
+        "map is not equivariant on a K-orbit"),
+    "motivic_vs_chow": (
+        "from chowtwist import chow, gmodules as gm\n"
+        "from chowtwist.groups import make_klein4\n"
+        "# no pieces at all: the motivic value 0 is below CH^1\n"
+        "chow.twisted_motivic_klein(gm.make_trivial(make_klein4(), 'F2'), 1,\n"
+        "                           resolutions=([], [], np.zeros((0, 0), int)))\n",
+        "motivic value smaller than the Chow image"),
+    "hilbert_table": (
+        "from chowtwist import graded, gmodules as gm\n"
+        "from chowtwist.groups import make_klein4\n"
+        "P = graded.klein_chow_presentation(gm.make_trivial(make_klein4(), 'F2'), 4)\n"
+        "P.dims[2] += 1\n"
+        "graded.hilbert_series(P)\n",
+        "presentation disagrees with the dimension table"),
+    "evaluation_corank": (
+        "from chowtwist import chow, gmodules as gm, intlin\n"
+        "from chowtwist.groups import make_quaternion\n"
+        "# an evaluation kernel that lost every vector\n"
+        "intlin.kernel_mod = lambda rows, moduli: []\n"
+        "G = make_quaternion(3)\n"
+        "chow.twisted_chow_quaternion(G, gm.make_trivial(G), 1)\n",
+        "evaluation kernel has corank"),
+    "counterexample_span": (
+        "from chowtwist import intlin, lattices\n"
+        "# a kernel mod 2 that holds f_1, which S does not kill\n"
+        "intlin.kernel_mod = lambda rows, moduli: [[1] + [0] * (len(rows[0]) - 1)]\n"
+        "lattices.counterexample_lattices(2)\n",
+        "stated basis does not span the kernel"),
+}
+
+
+@pytest.mark.parametrize("check", sorted(_TAMPERS))
+def test_verification_check_survives_optimize(check):
+    snippet, message = _TAMPERS[check]
+    code = "assert False, 'not optimised'\nimport numpy as np\n" + snippet
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    out = subprocess.run([sys.executable, "-O", "-c", code],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=120)
+    last = out.stderr.strip().splitlines()[-1] if out.stderr.strip() else ""
+    assert last.startswith("chowtwist.errors.VerificationError: " + message), out.stderr
+
+
+def test_no_assert_statements_in_the_package():
+    """Checks must survive python -O, which strips every assert."""
+    pkg = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src", "chowtwist")
+    found = []
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            found += ["%s:%d" % (name, node.lineno) for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)]
+    assert not found, "assert statements in src/chowtwist: " + ", ".join(found)
