@@ -379,16 +379,19 @@ def twisted_motivic_klein(module, i, resolutions=None):
     Two coflasque resolutions 0 -> A -> B -> M -> 0 and A' -> P -> A give
     a composite P -> B of permutation modules; its Mackey decomposition is
     evaluated on CH^i of the pieces and the cokernel dimension returned.
-    resolutions can supply ((B_pieces, psi)) data directly: a list of
-    (subgroup, offset) target pieces, same for sources, and the integer
-    matrix of P -> B.
+    Both resolutions are built greedily (coflasque_resolution with prune)
+    and checked, so a defect raises VerificationError.  resolutions can
+    supply ((B_pieces, psi)) data directly: a list of (subgroup, offset)
+    target pieces, same for sources, and the integer matrix of P -> B.
     """
     G = make_klein4()
     mk = MackeyChowKlein()
     if resolutions is None:
-        res1 = coflasque_resolution(module)
+        res1 = coflasque_resolution(module, prune=True)
+        res1.check()
         A = res1.Q
-        res2 = coflasque_resolution(A)
+        res2 = coflasque_resolution(A, prune=True)
+        res2.check()
         # composite P -> A -> B; q_basis holds A's basis in B coordinates
         psi = intlin.product(np.array(res1.q_basis).T, res2.surjection)
         target_pieces = [s for s, _ in res1.pieces]

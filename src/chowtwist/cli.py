@@ -375,7 +375,9 @@ def build_parser():
     p.add_argument("--resolve", action="store_true",
                    help="build and check a coflasque resolution")
     p.add_argument("--prune", action="store_true",
-                   help="drop redundant permutation pieces")
+                   help="build the resolution greedily: larger subgroups "
+                        "first, a piece only where a fixed-point map is "
+                        "not yet onto")
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.set_defaults(func=cmd_coflasque)
 

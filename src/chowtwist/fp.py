@@ -42,6 +42,10 @@ def rref(a, p):
 
 
 def rank(a, p):
+    """Rank mod p; at p = 2 the pivots of the packed elimination are
+    counted and no row is unpacked."""
+    if p == 2:
+        return len(f2.eliminate(f2.pack_rows(a)))
     return len(rref(a, p)[1])
 
 

@@ -100,19 +100,34 @@ def fixed_surjective(P, M, S, subgroup):
 def coflasque_resolution(M, prune=False):
     """Coflasque resolution of a module over Z or F_p.
 
-    P gets one summand Z[G/H] per generator of the fixed lattice M^H, for
+    P gets one summand Z[G/H] per generator w of the fixed lattice M^H, for
     every subgroup H; the summands for the trivial subgroup make the
-    surjection (and all its fixed-point restrictions) automatic.  For F_p
+    surjection (and all its fixed-point restrictions) automatic.  With
+    prune, P is built greedily instead: subgroups H by descending order,
+    and a piece (H, w) only when w is not yet in the image of P^H.  The
+    image of P^T is kept for every subgroup T, as the span of the images of
+    the T-orbit sums of cosets, so P^T -> M^T is onto for every T by
+    construction and the pieces are a subset of the full ones.  For F_p
     coefficients P is still an integral permutation module and Q is the
     full-rank preimage lattice of zero.
     """
     G = M.group
+    subgroups = G.subgroups()
     pieces = []
-    for S in G.subgroups():
-        for w in M.fixed_points(S):
-            pieces.append((S, list(w)))
-    if prune:
-        pieces = _prune_pieces(G, M, pieces)
+    if not prune:
+        for S in subgroups:
+            pieces.extend((S, list(w)) for w in M.fixed_points(S))
+    else:
+        images = {T: fp.Span(M.rank, M.p) if M.p else intlin.IntLattice(M.rank)
+                  for T in subgroups}
+        for S in sorted(subgroups, key=lambda H: -H.order):
+            for w in M.fixed_points(S):
+                if images[S].contains(w):
+                    continue
+                pieces.append((S, list(w)))
+                for T, lat in images.items():
+                    for v in _orbit_sums(M, S, w, T):
+                        lat.add(v)
     P, Smat = permutation_sum(M, pieces)
     if M.p:
         q_basis = intlin.kernel_mod(Smat, [M.p] * M.rank)
@@ -122,20 +137,22 @@ def coflasque_resolution(M, prune=False):
     return CoflasqueResolution(M, pieces, P, Smat, Q, q_basis)
 
 
-def _prune_pieces(G, M, pieces):
-    """Drop permutation summands whose removal keeps every P^H -> M^H onto."""
-    kept = list(pieces)
-    i = 0
-    while i < len(kept):
-        trial = kept[:i] + kept[i + 1:]
-        if not trial:
-            break
-        Ptrial, Smat = permutation_sum(M, trial)
-        if all(fixed_surjective(Ptrial, M, Smat, S) for S in G.subgroups()):
-            kept = trial
-        else:
-            i += 1
-    return kept
+def _orbit_sums(M, S, w, T):
+    """Images under gS -> g.w of the T-orbit sums of the cosets G/S, which
+    span Z[G/S]^T."""
+    G = M.group
+    seen, out = set(), []
+    for g in range(G.order):
+        if g in seen:
+            continue
+        v = 0
+        for t in T.elements:  # the orbit of gS: one tg per new coset tgS
+            x = G.mul(t, g)
+            if x not in seen:
+                seen.update(G.mul(x, s) for s in S.elements)
+                v = v + M.apply(x, w)
+        out.append([int(c) for c in v])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -191,20 +191,26 @@ def battery_coflasque(ms=None):
     return out
 
 
-def battery_coflasque_random(count=50, seed=11):
-    """Randomized coflasque resolutions: every output passes its invariants
-    (exactness at Q, fixed-point surjectivity for all subgroups, coflasque
-    kernel), across cyclic groups of order <= 8, Klein and Q8."""
+def random_resolution_modules(count=50, seed=11):
+    """The seeded lattices of battery_coflasque_random, over cyclic groups
+    of order <= 8, Klein and Q8."""
     rng = random.Random(seed)
     groups = [make_cyclic(k) for k in range(2, 9)] + [make_klein4(),
                                                       make_quaternion(3)]
-    out = []
-    for n in range(count):
+    for _ in range(count):
         G = rng.choice(groups)
         if G.name.startswith("C") and G.order > 1 and rng.random() < 0.5:
-            M = random_cyclic_module(G, rng.randint(1, 4), rng)
+            yield random_cyclic_module(G, rng.randint(1, 4), rng)
         else:
-            M = random_lattice(G, rng)
+            yield random_lattice(G, rng)
+
+
+def battery_coflasque_random(count=50, seed=11):
+    """Randomized coflasque resolutions: every output passes its invariants
+    (exactness at Q, fixed-point surjectivity for all subgroups, coflasque
+    kernel)."""
+    out = []
+    for n, M in enumerate(random_resolution_modules(count, seed)):
         res = coflasque_resolution(M)
         try:
             res.check()
@@ -214,7 +220,7 @@ def battery_coflasque_random(count=50, seed=11):
             ok = False
             detail = str(exc)
         out.append(_check_bool("random resolution %d (%s, rank %d)"
-                               % (n, G.name, M.rank), ok, detail))
+                               % (n, M.group.name, M.rank), ok, detail))
     return out
 
 

@@ -1,7 +1,10 @@
+import random
+
 import numpy as np
 import pytest
 
-from chowtwist import chow, f2
+from chowtwist import chow, f2, intlin
+from chowtwist import lattices as lat
 from chowtwist import cohomology as coh
 from chowtwist import gmodules as gm
 from chowtwist.errors import UnsupportedFamilyError
@@ -115,6 +118,37 @@ def test_motivic_explicit_matches_generic():
         explicit = chow.twisted_motivic_klein_explicit(m, 1).value
         assert generic == explicit == 2 * m + 2
         assert chow.twisted_chow_klein(M, 1).value == m + 3
+
+
+def _full_resolutions(M):
+    """The motivic pipeline's input from two full coflasque resolutions."""
+    res1 = lat.coflasque_resolution(M)
+    res2 = lat.coflasque_resolution(res1.Q)
+    psi = intlin.product(np.array(res1.q_basis).T, res2.surjection)
+    return [S for S, _ in res1.pieces], [S for S, _ in res2.pieces], psi
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_motivic_value_agrees_across_resolutions(m):
+    M = gm.omega_negative_klein(m)
+    greedy = chow.twisted_motivic_klein(M, 1).value
+    full = chow.twisted_motivic_klein(M, 1, resolutions=_full_resolutions(M)).value
+    explicit = chow.twisted_motivic_klein_explicit(m, 1).value
+    assert greedy == full == explicit == 2 * m + 2
+
+
+def test_motivic_value_greedy_matches_full_on_seeded_modules():
+    rng = random.Random(5)
+    G = make_klein4()
+    # the full resolutions grow fast with the rank: keep the oracle small
+    modules = [M for M in (gm.random_lattice(G, rng).change_ring_mod(2)
+                           for _ in range(6)) if M.rank <= 4]
+    assert len(modules) >= 4
+    for M in modules:
+        full = _full_resolutions(M)
+        for i in (1, 2):
+            assert (chow.twisted_motivic_klein(M, i).value
+                    == chow.twisted_motivic_klein(M, i, resolutions=full).value)
 
 
 def test_motivic_higher_degree():

@@ -103,6 +103,21 @@ def test_coflasque_predicate_and_resolve(capsys):
     code, out = run(capsys, ["coflasque", "--group", "C4", "--module", "sign",
                              "--resolve"])
     assert code == 0
+    # the full resolution's line, as the README shows it
+    assert out == ("coflasque: no\nwitness: H^1 = Z/2 at a subgroup of order 4\n"
+                   "resolution: P rank 6 (2 pieces), Q rank 5, checks pass\n")
+
+
+@pytest.mark.parametrize("group, module, line", [
+    ("C4", "sign", "P rank 2 (1 pieces), Q rank 1"),
+    ("Q8", "ZG/Z", "P rank 18 (5 pieces), Q rank 11"),
+    ("Klein4", "omega2Z", "P rank 8 (5 pieces), Q rank 3"),
+])
+def test_coflasque_greedy_resolution(capsys, group, module, line):
+    code, out = run(capsys, ["coflasque", "--group", group, "--module", module,
+                             "--resolve", "--prune"])
+    assert code == 0
+    assert out.splitlines()[-1] == "resolution: %s, checks pass" % line
 
 
 def _graded_table(betti, dims):

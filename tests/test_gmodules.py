@@ -28,7 +28,7 @@ def test_action_validation():
         # order-3 matrix on an order-4 generator is not a homomorphism
         gm.GModule(G, gm.RING_Z, 2, {1: [[0, -1], [1, -1]]})
     with pytest.raises(ValueError):
-        # determinant 2 is not invertible over Z
+        # s^4 would act as [[16]], not as the identity: not a homomorphism
         gm.GModule(G, gm.RING_Z, 1, {1: [[2]]})
 
 

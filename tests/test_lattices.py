@@ -8,6 +8,7 @@ import pytest
 
 from chowtwist import gmodules as gm
 from chowtwist import lattices as lat
+from chowtwist import verify
 from chowtwist.errors import SizePolicyError
 from chowtwist.groups import make_cyclic, make_klein4, make_quaternion
 
@@ -112,6 +113,27 @@ def test_resolution_pruning_never_grows():
     pruned = lat.coflasque_resolution(M, prune=True)
     assert pruned.check()
     assert pruned.P.rank <= full.P.rank
+
+
+def test_greedy_resolution_pieces_are_full_pieces():
+    # the seeded lattices of battery_coflasque_random
+    for M in verify.random_resolution_modules():
+        full = lat.coflasque_resolution(M)
+        greedy = lat.coflasque_resolution(M, prune=True)
+        assert greedy.check()
+        assert all(piece in full.pieces for piece in greedy.pieces)
+        assert greedy.P.rank <= full.P.rank
+
+
+def test_greedy_resolution_of_f2_klein_modules():
+    # over F_2 the order-2 subgroups move each other's cosets, so a piece
+    # over one of them reaches the others only through orbit sums
+    rng = random.Random(3)
+    G = make_klein4()
+    modules = [gm.omega_klein(n) for n in (1, 2, 3)]
+    modules += [gm.random_lattice(G, rng).change_ring_mod(2) for _ in range(6)]
+    for M in modules:
+        assert lat.coflasque_resolution(M, prune=True).check()
 
 
 def test_resolution_random_lattices():

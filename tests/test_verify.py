@@ -75,6 +75,12 @@ _TAMPERS = {
         "chow.twisted_motivic_klein(gm.make_trivial(make_klein4(), 'F2'), 1,\n"
         "                           resolutions=([], [], np.zeros((0, 0), int)))\n",
         "motivic value smaller than the Chow image"),
+    "motivic_resolution": (
+        "from chowtwist import chow, gmodules as gm, lattices\n"
+        "# the greedy build believes every fixed-point map onto after one piece\n"
+        "lattices._orbit_sums = lambda M, S, w, T: np.eye(M.rank, dtype=int).tolist()\n"
+        "chow.twisted_motivic_klein(gm.omega_negative_klein(2), 1)\n",
+        "fixed points not surjective for subgroup of order 1"),
     "hilbert_table": (
         "from chowtwist import graded, gmodules as gm\n"
         "from chowtwist.groups import make_klein4\n"
