@@ -1,5 +1,5 @@
 """Group cohomology, homology and Tate groups via the normalized bar
-resolution, with cup products, restriction and chain-level transfer.
+resolution, with restriction and chain-level transfer.
 
 Cochains of degree n are vectors of length (|G|-1)^n * rank(M): one
 coefficient block per n-tuple of non-identity elements, tuples ordered
@@ -28,7 +28,6 @@ three maps take one cochain or a 2-D stack of them, one per row.
 
 from __future__ import annotations
 
-import math
 import os
 from fractions import Fraction
 
@@ -270,33 +269,7 @@ def cyclic_cohomology(group, module, n):
 
 
 # ---------------------------------------------------------------------------
-# cup products, restriction, transfer
-
-
-def cup_with_trivial(group, module, a, p_deg, b, q_deg):
-    """Cup product of a scalar cochain a (trivial F_p coefficients, degree
-    p_deg) with a module-valued cochain b of degree q_deg.
-
-    (a cup b)(g_1..g_{p+q}) = a(g_1..g_p) * ((g_1...g_p) . b(g_{p+1}..)).
-    """
-    if module.p is None:
-        raise ValueError("cup_with_trivial needs F_p coefficients")
-    bc = BarComplex(group, module)
-    scal = BarComplex(group, make_trivial(group, module.ring))
-    n = p_deg + q_deg
-    out = np.zeros(bc.dim(n), dtype=np.int64)
-    r = bc.r
-    for idx, t in enumerate(bc.tuples(n)):
-        front, back = t[:p_deg], t[p_deg:]
-        av = scal.block(a, front)[0] if p_deg else a[0]
-        if av % module.p == 0:
-            continue
-        g = group.identity
-        for x in front:
-            g = group.mul(g, x)
-        bv = bc.block(b, back) if q_deg else b
-        out[idx * r:(idx + 1) * r] = av * (module.act(g) @ bv)
-    return out % module.p
+# restriction, transfer
 
 
 def _cochain_table(G, key, build):
@@ -506,10 +479,3 @@ class IntegralClassSpace:
         if w[len(self.diag):].any():
             raise ValueError("vector is not a cocycle (free cokernel coordinate)")
         return tuple(int(w[j]) % self.diag[j] for j in self.torsion_slots)
-
-    def element_order(self, cls):
-        ord_ = 1
-        for c, m in zip(cls, self.factors):
-            if c % m:
-                ord_ = ord_ * (m // math.gcd(m, c)) // math.gcd(ord_, m // math.gcd(m, c))
-        return ord_

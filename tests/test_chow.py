@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from chowtwist import chow, f2, intlin
+from chowtwist import chow, cli, f2, intlin
 from chowtwist import lattices as lat
 from chowtwist import cohomology as coh
 from chowtwist import gmodules as gm
@@ -90,7 +90,7 @@ def test_quaternion_degree_zero():
 
 
 def test_mackey_chow_klein():
-    mk = chow.mackey_chow_klein()
+    mk = chow.MackeyChowKlein()
     G = mk.group
     full = G.full_subgroup()
     for i in range(3):
@@ -104,7 +104,7 @@ def test_mackey_chow_klein():
 
 
 def test_mackey_evaluate_block_requires_containment():
-    mk = chow.mackey_chow_klein()
+    mk = chow.MackeyChowKlein()
     G = mk.group
     H = G.generated_subgroup([1])
     K = G.generated_subgroup([2])
@@ -157,12 +157,47 @@ def test_motivic_higher_degree():
 
 
 def test_transfer_generation():
-    G4 = make_cyclic(4)
-    assert chow.transfer_generation_check(G4, gm.make_trivial(G4), 1)
+    G4, K, Q = make_cyclic(4), make_klein4(), make_quaternion(3)
+    for G, M in ((G4, gm.make_trivial(G4)), (K, gm.make_trivial(K, "F2")),
+                 (Q, gm.make_omega2_trivial(Q))):
+        assert chow.transfer_generation_check(G, M, 1)["generated"] is True
+
+
+def test_klein_transfer_comparison_can_fail():
+    # on F_2[K/<g>] the transfers from the proper subgroups have a nonzero
+    # image, so leaving out the transfers from K itself makes the first
+    # image differ from the cumulative one
     K = make_klein4()
-    assert chow.transfer_generation_check(K, gm.make_trivial(K, "F2"), 1)
+    M = gm.make_permutation(K, K.generated_subgroup([1]), "F2")
+    top = K.full_subgroup()
+    proper = [s for s in K.subgroups() if s != top]
+    own, every = chow._transfer_images(K, M, [top], proper)
+    assert own == every == gm.FiniteAbelianGroup([2], 0)
+    none, alone = chow._transfer_images(K, M, [], proper)
+    assert none == gm.FiniteAbelianGroup([], 0)
+    assert alone == gm.FiniteAbelianGroup([2], 0)
+
+
+@pytest.mark.parametrize("spec, dim", [
+    ("trivialF2", 2), ("omega:-1", 4), ("omega:-2", 5), ("omega:-3", 6),
+    ("omega:-4", 7), ("omega:1", 0), ("omega:2", 0), ("l_zeta:x:2", 2),
+    ("l_zeta:x+y:3", 3)])
+def test_klein_transfer_image_matches_chow_module(spec, dim):
+    # the G-level transfer image in the bar model and the Chow image on the
+    # minimal resolution are two independent models of CH^1
+    K = make_klein4()
+    M = cli.parse_module(K, spec)
+    own, = chow._transfer_images(K, M, [K.full_subgroup()])
+    assert own == gm.FiniteAbelianGroup([2] * dim, 0)
+    assert chow.KleinChowModule(M).dim(1) == dim
+
+
+def test_quaternion_transfer_check_refuses_even_degrees():
     Q = make_quaternion(3)
-    assert chow.transfer_generation_check(Q, gm.make_omega2_trivial(Q), 1)
+    M = gm.make_omega2_trivial(Q)
+    for i in (0, 2):
+        with pytest.raises(UnsupportedFamilyError):
+            chow.transfer_generation_check(Q, M, i)
 
 
 def _count_calls(monkeypatch, owner, name):
@@ -189,12 +224,14 @@ def test_klein_degree_data_adds_coboundaries_once(monkeypatch):
 
 def test_quaternion_transfer_check_corestricts_once(monkeypatch):
     calls = _count_calls(monkeypatch, coh, "corestriction_cochain")
+    snf = _count_calls(monkeypatch, intlin, "smith_normal_form")
     Q = make_quaternion(3)
     M = gm.make_omega2_trivial(Q)
     report = chow.transfer_generation_check(Q, M, 1)
     assert report == {"group": "Q8", "module": M.name, "degree": 1,
                       "generated": True, "span3": 4, "span_all": 4}
     assert len(calls) == 38  # 27 from the three index-2 subgroups, 11 more
+    assert len(snf) == 1  # one class space serves both subgroup lists
 
 
 def test_result_json_shape():
