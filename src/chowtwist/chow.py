@@ -473,18 +473,15 @@ def transfer_generation_check(group, module, i):
                 "generated": sub_all == target, "span": repr(sub_all),
                 "target": repr(target)}
     if name == "Klein4":
-        # transfers from proper subgroups vanish on the Chow ring in positive
-        # degree, so generation reduces to the fixed-point image; in degree 1
         # the bar model checks that the proper-subgroup transfers add nothing
-        # to the transfers from G itself
-        report = {"group": name, "module": module.name, "degree": i,
-                  "generated": True, "dim": KleinChowModule(module).dim(i)}
-        if i == 1:
-            top = group.full_subgroup()
-            own, every = _transfer_images(group, module, [top],
-                                          [s for s in group.subgroups() if s != top])
-            report["generated"] = own == every
-        return report
+        # in degree 1 to the transfers from G itself
+        if i != 1:
+            raise UnsupportedFamilyError("Klein transfer check implemented at degree 1")
+        top = group.full_subgroup()
+        own, every = _transfer_images(group, module, [top],
+                                      [s for s in group.subgroups() if s != top])
+        return {"group": name, "module": module.name, "degree": i,
+                "generated": own == every, "dim": KleinChowModule(module).dim(i)}
     if name.startswith("Q"):
         if i % 2 == 0:
             raise UnsupportedFamilyError(

@@ -3,9 +3,12 @@ resolution, with restriction and chain-level transfer.
 
 Cochains of degree n are vectors of length (|G|-1)^n * rank(M): one
 coefficient block per n-tuple of non-identity elements, tuples ordered
-lexicographically in the non-identity element list.  Tuples containing the
-identity are not part of the basis; evaluation on them returns zero, which
-is what normalization means.
+lexicographically in the non-identity element list, so that a tuple's index
+is its base-q number, q = |G|-1, in the positions of its entries.  Tuples
+containing the identity are not part of the basis; evaluation on them
+returns zero, which is what normalization means.  The coboundaries and the
+boundaries are built from that index by arithmetic: each face of the bar
+differential is one numpy scatter over every tuple at once.
 
 The bar cochains and chains splice, through the trace, into the complete
 complex whose cohomology is Tate cohomology (Brown, Cohomology of Groups,
@@ -18,24 +21,26 @@ kleinres go through the same ker/im routine.
 
 Restriction, corestriction (the chain-level transfer) and conjugation move
 cochains between G and a subgroup, taken as subgroup.as_group().  Each map
-reads one integer index table that sends every target tuple to the source
-tuple(s) it evaluates on, and is then a numpy gather (plus one product with
-an action matrix per coset for the transfer, one for conjugation).  A table
-depends on the groups and the degree only, not on the module, so it is
-built once and kept on the group G, keyed by the subgroup's elements.  All
-three maps take one cochain or a 2-D stack of them, one per row.
+reads one integer index table, in the same base-q tuple index, that sends
+every target tuple to the source tuple(s) it evaluates on, and is then a
+numpy gather (plus one product with an action matrix per coset for the
+transfer, one for conjugation).  A table depends on the groups and the
+degree only, not on the module, so it is built once and kept on the group
+G, keyed by the subgroup's elements.  All three maps take one cochain or a
+2-D stack of them, one per row.
 """
 
 from __future__ import annotations
 
 import os
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
 from . import fp, intlin
 from .errors import ResourceCapError, VerificationError
-from .gmodules import FiniteAbelianGroup, make_trivial
+from .gmodules import FiniteAbelianGroup
 
 DEFAULT_MAX_CELLS = 10 ** 6
 
@@ -53,10 +58,10 @@ class BarComplex:
             raise ValueError("module is over a group of another order")
         self.group = group
         self.module = module
-        self.nonid = [g for g in range(group.order) if g != group.identity]
+        self.nonid = np.array([g for g in range(group.order) if g != group.identity],
+                              dtype=np.int64)
         self.q = len(self.nonid)
         self.r = module.rank
-        self._pos = {g: i for i, g in enumerate(self.nonid)}
         self._delta_cache = {}
         self._boundary_cache = {}
 
@@ -72,54 +77,38 @@ class BarComplex:
                 cells=cells,
             )
 
-    def tuples(self, n):
-        """All degree-n basis tuples in lexicographic order."""
-        if n == 0:
-            return [()]
-        out = [()]
-        for _ in range(n):
-            out = [t + (g,) for t in out for g in self.nonid]
-        return out
-
-    def tuple_index(self, t):
-        idx = 0
-        for g in t:
-            idx = idx * self.q + self._pos[g]
-        return idx
-
-    def block(self, f, t):
-        """Coefficient block of the cochain f at tuple t (zero if t has an
-        identity entry)."""
-        if self.group.identity in t:
-            return np.zeros(self.r, dtype=np.int64)
-        i = self.tuple_index(t)
-        return f[i * self.r:(i + 1) * self.r]
-
     def _face_matrix(self, n, chains):
         """The faces of each n-tuple t, summed without a cap: t[1:] through
         t[0] (through t[0]^-1 on chains), the signed merges and t[:n-1].
         On cochains, with t indexing the rows, this is delta_{n-1}; on
-        chains, with t indexing the columns, it is d_n."""
-        G, M, r = self.group, self.module, self.r
-        shape = (self.dim(n), self.dim(n - 1))
-        D = np.zeros(shape[::-1] if chains else shape, dtype=np.int64)
+        chains, with t indexing the columns, it is d_n.
+
+        Tuples carry the base-q index of _tuple_indices, so every face index
+        is arithmetic on t, and each face is one scatter of blocks over all
+        t at once; a merge that hits the identity is dropped."""
+        G, M, q, r = self.group, self.module, self.q, self.r
+        t = np.arange(q ** n)
+        entry = [self.nonid[(t // q ** (n - 1 - k)) % q] for k in range(n)]
+        shape = (q ** (n - 1), r, q ** n, r) if chains else (q ** n, r, q ** (n - 1), r)
+        D = np.zeros(shape, dtype=np.int64)
+
+        def add(src, face, blocks):
+            if chains:
+                D[face, :, src, :] += blocks
+            else:
+                D[src, :, face, :] += blocks
+
+        acts = np.array([M.act(g) for g in range(G.order)])
+        add(t, t % q ** (n - 1), acts[G.inverse[entry[0]] if chains else entry[0]])
+        pos, _ = _positions(G, range(G.order))
         eye = np.eye(r, dtype=np.int64)
-
-        def add_block(idx, face, mat):
-            if G.identity in face:
-                return
-            j = self.tuple_index(face)
-            a, b = (j, idx) if chains else (idx, j)
-            D[a * r:(a + 1) * r, b * r:(b + 1) * r] += mat
-
-        for idx, t in enumerate(self.tuples(n)):
-            add_block(idx, t[1:], M.act(G.inv(t[0]) if chains else t[0]))
-            sign = -1
-            for i in range(n - 1):
-                merged = t[:i] + (G.mul(t[i], t[i + 1]),) + t[i + 2:]
-                add_block(idx, merged, sign * eye)
-                sign = -sign
-            add_block(idx, t[:n - 1], sign * eye)
+        for i in range(n - 1):
+            m = pos[G.table[entry[i], entry[i + 1]]]
+            src, m = t[m >= 0], m[m >= 0]
+            face = ((src // q ** (n - i)) * q + m) * q ** (n - i - 2) + src % q ** (n - i - 2)
+            add(src, face, (-1) ** (i + 1) * eye)
+        add(t, t // q, (-1) ** n * eye)
+        D = D.reshape(shape[0] * r, shape[2] * r)
         if M.p:
             D %= M.p
         return D
@@ -408,9 +397,9 @@ def character_chern(group, chi):
         for b in range(group.order):
             if (chi[a] + chi[b] - chi[group.mul(a, b)]) % 1 != 0:
                 raise ValueError("chi is not a homomorphism to Q/Z")
-    bc = BarComplex(group, make_trivial(group))
-    out = np.zeros(bc.dim(2), dtype=np.int64)
-    for idx, (a, b) in enumerate(bc.tuples(2)):
+    nonid = [g for g in range(group.order) if g != group.identity]
+    out = np.zeros(len(nonid) ** 2, dtype=np.int64)
+    for idx, (a, b) in enumerate(product(nonid, repeat=2)):
         carry = chi[a] + chi[b] - (chi[group.mul(a, b)] % 1)
         if carry.denominator != 1:
             raise VerificationError("carry of a Q/Z-valued character is not an integer")
@@ -421,8 +410,6 @@ def character_chern(group, chi):
 def all_characters(group):
     """All homomorphisms group -> Q/Z, found by brute force over values on
     the declared generators (values are multiples of 1/order)."""
-    from itertools import product
-
     n = group.order
     gens = group.generators
     out = []

@@ -172,14 +172,6 @@ class GModule:
             gens[g] = mat
         return GModule(self.group, self.ring, total, gens, check=False)
 
-    def change_ring_mod(self, p):
-        """Reduction M/pM of an integral module."""
-        if self.p is not None:
-            raise ValueError("reduction mod p needs an integral module")
-        gens = {g: self.act(g) % p for g in self.group.generators}
-        return GModule(self.group, "F%d" % p, self.rank, gens, check=False,
-                       name=self.name + " mod %d" % p)
-
     def to_json(self):
         return {
             "group": self.group.name,
@@ -229,9 +221,6 @@ class FiniteAbelianGroup:
         if self.free_rank:
             return None
         return self.invariant_factors[-1] if self.invariant_factors else 1
-
-    def p_rank(self, p):
-        return sum(1 for d in self.invariant_factors if d % p == 0)
 
     def is_trivial(self):
         return not self.invariant_factors and self.free_rank == 0

@@ -14,7 +14,7 @@ import random
 
 import numpy as np
 
-from . import chow, fp, graded
+from . import chow, fp, graded, intlin
 from . import cohomology as coh
 from .errors import ResourceCapError, VerificationError
 from .gmodules import (make_augmentation_quotient, make_klein4, make_regular,
@@ -410,11 +410,14 @@ def battery_delta_squared(max_degree=6):
         bc = coh.BarComplex(G, M)
         good = True
         for n in range(max_degree):
-            # int64 matmul bypasses BLAS; float64 is exact here (entries are
-            # bounded by the inner dimension, far below 2^53) and much faster
-            a = bc.delta_matrix(n + 1).astype(np.float64)
-            b = bc.delta_matrix(n).astype(np.float64)
-            prod = np.rint(a @ b).astype(np.int64)
+            # int64 matmul bypasses BLAS; float64 is much faster, and exact
+            # while max|a| * max|b| * (inner dimension) stays below 2^53
+            a, b = bc.delta_matrix(n + 1), bc.delta_matrix(n)
+            bound = intlin._max_abs(a) * intlin._max_abs(b) * b.shape[0]
+            if bound >= 2 ** 53:
+                raise VerificationError("delta^2 product is not exact in float64: "
+                                        "bound %d for degree %d" % (bound, n))
+            prod = np.rint(a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
             if M.p:
                 prod %= M.p
             if prod.any():

@@ -1,5 +1,22 @@
 import pytest
 
+from chowtwist.gmodules import GModule
+
+
+def change_ring_mod(M, p):
+    """Reduction M/pM of an integral module."""
+    if M.p is not None:
+        raise ValueError("reduction mod p needs an integral module")
+    gens = {g: M.act(g) % p for g in M.group.generators}
+    return GModule(M.group, "F%d" % p, M.rank, gens, check=False,
+                   name=M.name + " mod %d" % p)
+
+
+def p_rank(A, p):
+    """The number of invariant factors of A divisible by p."""
+    return sum(1 for d in A.invariant_factors if d % p == 0)
+
+
 _CRITERION_LINES = []
 
 

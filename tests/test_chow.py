@@ -10,6 +10,8 @@ from chowtwist import gmodules as gm
 from chowtwist.errors import UnsupportedFamilyError
 from chowtwist.groups import make_cyclic, make_klein4, make_quaternion
 
+from conftest import change_ring_mod
+
 
 def test_cyclic_trivial_values():
     G = make_cyclic(5)
@@ -141,7 +143,7 @@ def test_motivic_value_greedy_matches_full_on_seeded_modules():
     rng = random.Random(5)
     G = make_klein4()
     # the full resolutions grow fast with the rank: keep the oracle small
-    modules = [M for M in (gm.random_lattice(G, rng).change_ring_mod(2)
+    modules = [M for M in (change_ring_mod(gm.random_lattice(G, rng), 2)
                            for _ in range(6)) if M.rank <= 4]
     assert len(modules) >= 4
     for M in modules:
@@ -198,6 +200,18 @@ def test_quaternion_transfer_check_refuses_even_degrees():
     for i in (0, 2):
         with pytest.raises(UnsupportedFamilyError):
             chow.transfer_generation_check(Q, M, i)
+
+
+def test_klein_transfer_check_refuses_other_degrees():
+    # only degree 1 has a transfer comparison; a report without one would
+    # say "generated" having checked nothing
+    K = make_klein4()
+    M = gm.make_trivial(K, "F2")
+    for i in (0, 2, 3):
+        with pytest.raises(UnsupportedFamilyError):
+            chow.transfer_generation_check(K, M, i)
+    assert chow.transfer_generation_check(K, M, 1) == {
+        "group": "Klein4", "module": M.name, "degree": 1, "generated": True, "dim": 2}
 
 
 def _count_calls(monkeypatch, owner, name):

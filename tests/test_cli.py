@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -12,6 +13,27 @@ def run(capsys, argv):
     code = cli.main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def _readme_cli_lines():
+    """The chowtwist lines of the README's CLI example block."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as fh:
+        block = fh.read().split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("chowtwist ")]
+
+
+def test_readme_cli_examples(capsys):
+    # each example exits 0 and prints the value its comment promises
+    lines = _readme_cli_lines()
+    assert len(lines) == 11
+    for line in lines:
+        cmd, _, want = line.partition("#")
+        code, out = run(capsys, shlex.split(cmd)[1:])
+        assert code == 0, line
+        assert want.strip() in out, line
+    promised = [line.partition("#")[2].strip() for line in lines]
+    assert [want for want in promised if want] == ["Z/8", "dim 6", "Z/6", "dim 7"]
 
 
 def test_cohomology_q8_omega2(capsys):

@@ -12,6 +12,8 @@ from chowtwist import gmodules as gm
 from chowtwist.errors import ResourceCapError
 from chowtwist.groups import make_cyclic, make_klein4, make_quaternion
 
+from conftest import change_ring_mod
+
 
 def test_delta_squared_zero():
     G = make_klein4()
@@ -49,10 +51,10 @@ def test_cyclic_cohomology_modulus():
     G = make_cyclic(4)
     T = gm.make_trivial(G)
     for n in (0, 1, 2, 3):
-        st = coh.cyclic_cohomology(G, T.change_ring_mod(2), n).structure
+        st = coh.cyclic_cohomology(G, change_ring_mod(T, 2), n).structure
         assert st == gm.FiniteAbelianGroup([2]), n
     # the sign module mod 2 is trivial
-    S = gm.make_sign_cyclic(G).change_ring_mod(2)
+    S = change_ring_mod(gm.make_sign_cyclic(G), 2)
     assert coh.cyclic_cohomology(G, S, 1).structure == gm.FiniteAbelianGroup([2])
 
 
@@ -91,10 +93,10 @@ def test_homology_dual_to_cohomology_mod_p():
     # over a field, H_n(G, M) is dual to H^n(G, M*); on nonabelian Q8 this
     # pins the orientation of every block of the boundary matrices
     Q8, C6 = make_quaternion(3), make_cyclic(6)
-    modules = [gm.make_augmentation_quotient(Q8).change_ring_mod(2),
-               gm.make_omega2_trivial(Q8).change_ring_mod(2),
+    modules = [change_ring_mod(gm.make_augmentation_quotient(Q8), 2),
+               change_ring_mod(gm.make_omega2_trivial(Q8), 2),
                gm.omega_negative_klein(2),
-               gm.make_augmentation_quotient(C6).change_ring_mod(3)]
+               change_ring_mod(gm.make_augmentation_quotient(C6), 3)]
     for M in modules:
         G = M.group
         for n in (1, 2):
@@ -116,8 +118,8 @@ def test_tate_matches_periodic_resolution():
     for m in (4, 6):
         G = make_cyclic(m)
         S = gm.make_sign_cyclic(G)
-        for M in (gm.make_regular(G), S, S.change_ring_mod(3),
-                  gm.make_augmentation_quotient(G).change_ring_mod(2)):
+        for M in (gm.make_regular(G), S, change_ring_mod(S, 3),
+                  change_ring_mod(gm.make_augmentation_quotient(G), 2)):
             for i in range(-2, 3):
                 periodic = coh.cyclic_cohomology(G, M, 2 if i % 2 == 0 else 1)
                 assert coh.tate(G, M, i).structure == periodic.structure, (m, M.name, i)
@@ -211,8 +213,60 @@ def test_subgroup_generated():
 
 
 # ---------------------------------------------------------------------------
-# reference per-tuple restriction, transfer and conjugation: the table
-# versions in cohomology must agree with these exactly
+# reference per-tuple bar differentials, restriction, transfer and
+# conjugation: the index-arithmetic versions in cohomology must agree with
+# these exactly
+
+
+def _tuples(bc, n):
+    """All degree-n basis tuples of bc in lexicographic order."""
+    out = [()]
+    for _ in range(n):
+        out = [t + (g,) for t in out for g in bc.nonid.tolist()]
+    return out
+
+
+def _tuple_index(bc, t):
+    idx = 0
+    for g in t:
+        idx = idx * bc.q + bc.nonid.tolist().index(g)
+    return idx
+
+
+def _block(bc, f, t):
+    """Coefficient block of the cochain f at tuple t (zero if t has an
+    identity entry)."""
+    if bc.group.identity in t:
+        return np.zeros(bc.r, dtype=np.int64)
+    i = _tuple_index(bc, t)
+    return f[i * bc.r:(i + 1) * bc.r]
+
+
+def _ref_face_matrix(bc, n, chains):
+    """bc._face_matrix(n, chains), one tuple and one face at a time."""
+    G, M, r = bc.group, bc.module, bc.r
+    shape = (bc.dim(n), bc.dim(n - 1))
+    D = np.zeros(shape[::-1] if chains else shape, dtype=np.int64)
+    eye = np.eye(r, dtype=np.int64)
+
+    def add_block(idx, face, mat):
+        if G.identity in face:
+            return
+        j = _tuple_index(bc, face)
+        a, b = (j, idx) if chains else (idx, j)
+        D[a * r:(a + 1) * r, b * r:(b + 1) * r] += mat
+
+    for idx, t in enumerate(_tuples(bc, n)):
+        add_block(idx, t[1:], M.act(G.inv(t[0]) if chains else t[0]))
+        sign = -1
+        for i in range(n - 1):
+            merged = t[:i] + (G.mul(t[i], t[i + 1]),) + t[i + 2:]
+            add_block(idx, merged, sign * eye)
+            sign = -sign
+        add_block(idx, t[:n - 1], sign * eye)
+    if M.p:
+        D %= M.p
+    return D
 
 
 def _ref_restriction(G, module, subgroup, f, n):
@@ -221,8 +275,8 @@ def _ref_restriction(G, module, subgroup, f, n):
     bcH = coh.BarComplex(H, MH)
     out = np.zeros(bcH.dim(n), dtype=np.int64)
     r = module.rank
-    for idx, t in enumerate(bcH.tuples(n)):
-        out[idx * r:(idx + 1) * r] = bcG.block(f, tuple(embed[x] for x in t))
+    for idx, t in enumerate(_tuples(bcH, n)):
+        out[idx * r:(idx + 1) * r] = _block(bcG, f, tuple(embed[x] for x in t))
     return out
 
 
@@ -236,7 +290,7 @@ def _ref_corestriction(G, module, subgroup, fH, n, skip=None):
     bcH = coh.BarComplex(H, MH)
     r = module.rank
     out = np.zeros(bcG.dim(n), dtype=np.int64)
-    for idx, t in enumerate(bcG.tuples(n)):
+    for idx, t in enumerate(_tuples(bcG, n)):
         acc = np.zeros(r, dtype=np.int64)
         for i0 in range(len(reps)):
             i = i0
@@ -247,7 +301,7 @@ def _ref_corestriction(G, module, subgroup, fH, n, skip=None):
                 h_tuple.append(inv_embed[G.mul(tg, G.inv(reps[j]))])
                 i = j
             if i0 != skip:
-                acc = acc + module.act(G.inv(reps[i0])) @ bcH.block(fH, tuple(h_tuple))
+                acc = acc + module.act(G.inv(reps[i0])) @ _block(bcH, fH, tuple(h_tuple))
         out[idx * r:(idx + 1) * r] = acc
     return out % module.p if module.p else out
 
@@ -261,9 +315,9 @@ def _ref_conjugation(G, module, src_subgroup, x, f, n):
     bcK = coh.BarComplex(K, MK)
     r = module.rank
     out = np.zeros(bcK.dim(n), dtype=np.int64)
-    for idx, t in enumerate(bcK.tuples(n)):
+    for idx, t in enumerate(_tuples(bcK, n)):
         back = tuple(inv_embedH[G.conj(G.inv(x), embedK[k])] for k in t)
-        out[idx * r:(idx + 1) * r] = module.act(x) @ bcH.block(f, back)
+        out[idx * r:(idx + 1) * r] = module.act(x) @ _block(bcH, f, back)
     return (out % module.p if module.p else out), tgt
 
 
@@ -273,10 +327,14 @@ def _oracle_cases():
                    (make_quaternion(3), 2)):
         lat = gm.random_lattice(G, rng)
         mods = [gm.make_trivial(G), gm.make_trivial(G, "F2"),
-                gm.make_augmentation_quotient(G), lat, lat.change_ring_mod(2)]
+                gm.make_augmentation_quotient(G), lat, change_ring_mod(lat, 2),
+                gm.make_trivial(G, "F3")]
         if len(G.generators) == 1:
             mods.append(gm.make_sign_cyclic(G))
         yield G, top, mods
+    # the trivial group: q = 0, so every positive degree has no tuples
+    E, _ = make_klein4().trivial_subgroup().as_group()
+    yield E, 3, [gm.make_trivial(E), gm.make_trivial(E, "F3")]
 
 
 def _random_cochains(rng, M, length, rows=3):
@@ -315,6 +373,19 @@ def test_cochain_maps_match_per_tuple_reference():
                             assert tgt == one_tgt == ref_tgt
                             assert one.shape == ref.shape and np.array_equal(one, ref)
                             assert np.array_equal(cf[k], ref)
+
+
+def test_bar_differentials_match_per_tuple_reference():
+    for G, top, mods in _oracle_cases():
+        for M in mods:
+            bc = coh.BarComplex(G, M)
+            for n in range(1, top + 2):  # d_1 .. d_{top+1} and delta_0 .. delta_top
+                for chains in (False, True):
+                    D = bc._face_matrix(n, chains)
+                    ref = _ref_face_matrix(bc, n, chains)
+                    assert D.dtype == np.int64 and D.flags.c_contiguous
+                    assert D.shape == ref.shape and np.array_equal(D, ref), \
+                        (G.name, M.name, n, chains)
 
 
 def test_cochain_maps_take_empty_stacks():

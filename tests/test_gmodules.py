@@ -7,6 +7,8 @@ import pytest
 from chowtwist import fp, gmodules as gm, intlin
 from chowtwist.groups import FiniteGroup, make_cyclic, make_klein4, make_quaternion
 
+from conftest import change_ring_mod, p_rank
+
 
 def test_trivial_and_sign():
     G = make_cyclic(4)
@@ -177,7 +179,7 @@ def test_fixed_points_of_the_full_subgroup_span_the_same_lattice():
     for G in (make_cyclic(4), make_cyclic(6), make_klein4(), make_quaternion(3)):
         for _ in range(4):
             M = gm.random_lattice(G, rng)
-            for N in (M, M.change_ring_mod(2)):
+            for N in (M, change_ring_mod(M, 2)):
                 assert _same_span(N, N.fixed_points(), N.fixed_points(G.full_subgroup()))
                 for H in G.subgroups():
                     for v in N.fixed_points(H):
@@ -209,7 +211,7 @@ def test_json_roundtrip():
 
 def test_change_ring_mod():
     G = make_cyclic(4)
-    S = gm.make_sign_cyclic(G).change_ring_mod(3)
+    S = change_ring_mod(gm.make_sign_cyclic(G), 3)
     assert S.ring == "F3"
     assert S.apply(1, [1]) == [2]
 
@@ -218,7 +220,7 @@ def test_finite_abelian_group():
     A = gm.FiniteAbelianGroup([2, 4], free_rank=1)
     assert A.order is None  # infinite
     assert A.exponent is None
-    assert A.p_rank(2) == 2
+    assert p_rank(A, 2) == 2
     B = gm.FiniteAbelianGroup([2, 6])
     assert B.order == 12 and B.exponent == 6
     assert B == gm.FiniteAbelianGroup([2, 6])

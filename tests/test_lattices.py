@@ -12,6 +12,8 @@ from chowtwist import verify
 from chowtwist.errors import SizePolicyError
 from chowtwist.groups import make_cyclic, make_klein4, make_quaternion
 
+from conftest import change_ring_mod
+
 
 def test_h1_known_values():
     G = make_cyclic(4)
@@ -131,7 +133,7 @@ def test_greedy_resolution_of_f2_klein_modules():
     rng = random.Random(3)
     G = make_klein4()
     modules = [gm.omega_klein(n) for n in (1, 2, 3)]
-    modules += [gm.random_lattice(G, rng).change_ring_mod(2) for _ in range(6)]
+    modules += [change_ring_mod(gm.random_lattice(G, rng), 2) for _ in range(6)]
     for M in modules:
         assert lat.coflasque_resolution(M, prune=True).check()
 

@@ -102,6 +102,12 @@ _TAMPERS = {
         "intlin.kernel_mod = lambda rows, moduli: [[1] + [0] * (len(rows[0]) - 1)]\n"
         "lattices.counterexample_lattices(2)\n",
         "stated basis does not span the kernel"),
+    "delta_squared_float_bound": (
+        "from chowtwist import cohomology as coh, verify\n"
+        "# coboundaries whose float64 product could round\n"
+        "coh.BarComplex.delta_matrix = lambda self, n: np.full((2, 2), 2 ** 30)\n"
+        "verify.battery_delta_squared(2)\n",
+        "delta^2 product is not exact in float64"),
 }
 
 
