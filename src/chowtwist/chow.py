@@ -26,13 +26,12 @@ from .lattices import coflasque_resolution, counterexample_lattices
 class TwistedChowResult:
     """Value of one twisted Chow (or twisted motivic) group."""
 
-    def __init__(self, degree, value, method, cross_check=None, basis=None,
+    def __init__(self, degree, value, method, cross_check=None,
                  group_name=None, module_name=None):
         self.degree = degree
         self.value = value        # FiniteAbelianGroup or int dimension
         self.method = method
         self.cross_check = cross_check
-        self.basis = basis
         self.group_name = group_name
         self.module_name = module_name
         if cross_check is not None and not self._values_agree(value, cross_check):
@@ -80,7 +79,7 @@ class TwistedChowResult:
 def twisted_chow_cyclic(group, module, i, oracle=False):
     """CH^i of the classifying space of a cyclic group with coefficients in
     a lattice: the fixed points in degree 0 and the trace quotient above."""
-    if len(group.generators) != 1 and group.order > 1:
+    if group.family() != "cyclic":
         raise UnsupportedFamilyError("closed form needs a cyclic group")
     if i == 0:
         if module.p:
@@ -114,10 +113,8 @@ class KleinChowModule:
     """
 
     def __init__(self, module):
-        G = make_klein4()
-        if module.p != 2 or module.group.order != 4:
+        if module.p != 2 or module.group.family() != "klein":
             raise ValueError("Klein Chow groups need an F_2 module over Klein4")
-        self.group = G
         self.module = module
         self.fixed = module.fixed_points()
         self._cache = {}
@@ -150,9 +147,6 @@ class KleinChowModule:
     def dim(self, i):
         return len(self._degree_data(i)[1])
 
-    def basis_labels(self, i):
-        return list(self._degree_data(i)[1])
-
     def multiplication_matrix(self, i, var):
         """Matrix of multiplication by u (var=0) or v (var=1) from the
         degree-i basis to the degree-(i+1) basis, over F_2."""
@@ -174,10 +168,8 @@ class KleinChowModule:
 def twisted_chow_klein(module, i):
     """CH^i(BG, M) for the Klein four group, M an F_2 module."""
     kcm = module if isinstance(module, KleinChowModule) else KleinChowModule(module)
-    d = kcm.dim(i)
-    name = kcm.module.name
-    return TwistedChowResult(i, d, "image_computation", basis=kcm.basis_labels(i),
-                             group_name="Klein4", module_name=name)
+    return TwistedChowResult(i, kcm.dim(i), "image_computation",
+                             group_name="Klein4", module_name=kcm.module.name)
 
 
 # ---------------------------------------------------------------------------
@@ -239,23 +231,11 @@ def _subgroup_structure(space, classes):
     return FiniteAbelianGroup(factors, 0)
 
 
-def _two_primary(st):
-    fac = []
-    for d in st.invariant_factors:
-        two = 1
-        while d % 2 == 0:
-            two *= 2
-            d //= 2
-        if two > 1:
-            fac.append(two)
-    return FiniteAbelianGroup(sorted(fac), 0)
-
-
 def twisted_chow_quaternion(group, module, i, oracle=False):
     """CH^i(BG, M) for a generalized quaternion group and a lattice M.
 
     Even positive degrees are the trace quotient; odd degrees are the
-    subgroup of the 2-primary part of H^2(G, M) generated by transfers of
+    subgroup of H^2(G, M) (a 2-group, as G is) generated by transfers of
     first Chern classes from the cyclic subgroups <x>, <y> and <xy> (all
     three of index 2 in Q8; above Q8 only <x> is, and <y>, <xy> have order
     4); degree 0 is the fixed lattice.  Odd answers are degree-independent
@@ -264,7 +244,7 @@ def twisted_chow_quaternion(group, module, i, oracle=False):
     if module.p is not None:
         raise UnsupportedFamilyError("quaternion closed form needs a lattice")
     name = group.name
-    if not name.startswith("Q"):
+    if group.family() != "quaternion":
         raise UnsupportedFamilyError("group is not a generalized quaternion group")
     if i == 0:
         return TwistedChowResult(0, FiniteAbelianGroup([], module.fixed_dim()),
@@ -277,21 +257,23 @@ def twisted_chow_quaternion(group, module, i, oracle=False):
         return TwistedChowResult(i, module.trace_quotient(), "closed_form",
                                  cross_check=check, group_name=name,
                                  module_name=module.name)
-    st = _two_primary(_transfer_images(group, module, _xy_subgroups(group))[0])
+    st, = _transfer_images(group, module, _xy_subgroups(group))
     return TwistedChowResult(i, st, "image_computation", group_name=name,
                              module_name=module.name)
 
 
 def _xy_subgroups(group):
-    """The cyclic subgroups <x>, <y> and <xy> of make_quaternion's
-    presentation, whose elements 1 and order/2 are x and y."""
-    half = group.order // 2
-    return [group.generated_subgroup([a]) for a in (1, half, group.mul(1, half))]
-
-
-def quaternion_h2(group, module):
-    """The full H^2(G, M) for cross-checking against the odd-degree image."""
-    return coh.bar_cohomology(group, module, 2).structure
+    """One maximal cyclic subgroup per conjugacy class, each first reached
+    as the closure of an element in index order: <x>, <y> and <xy> of a
+    generalized quaternion group, in that order, in any labelling."""
+    cyclic = list(dict.fromkeys(group.generated_subgroup([a])
+                                for a in range(group.order)))
+    out = []
+    for sub in cyclic:
+        if (not any(set(sub.elements) < set(c.elements) for c in cyclic)
+                and not any(sub.conjugate(g) in out for g in range(group.order))):
+            out.append(sub)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +445,8 @@ def transfer_generation_check(group, module, i):
 
     Returns a dict report with a boolean 'generated'.
     """
-    name = group.name
-    if name.startswith("C"):
+    name, family = group.name, group.family()
+    if family == "cyclic":
         if i != 1:
             raise UnsupportedFamilyError("cyclic transfer check implemented at degree 1")
         sub_all, = _transfer_images(group, module, group.subgroups())
@@ -472,7 +454,7 @@ def transfer_generation_check(group, module, i):
         return {"group": name, "module": module.name, "degree": i,
                 "generated": sub_all == target, "span": repr(sub_all),
                 "target": repr(target)}
-    if name == "Klein4":
+    if family == "klein":
         # the bar model checks that the proper-subgroup transfers add nothing
         # in degree 1 to the transfers from G itself
         if i != 1:
@@ -482,7 +464,7 @@ def transfer_generation_check(group, module, i):
                                       [s for s in group.subgroups() if s != top])
         return {"group": name, "module": module.name, "degree": i,
                 "generated": own == every, "dim": KleinChowModule(module).dim(i)}
-    if name.startswith("Q"):
+    if family == "quaternion":
         if i % 2 == 0:
             raise UnsupportedFamilyError(
                 "quaternion transfer check holds in odd degrees")

@@ -71,11 +71,20 @@ SUBGROUP_NAMES = {"1": [], "g": [1], "h": [2], "gh": [3]}
 
 
 def parse_module(group, spec):
-    """Named module constructors; see the README for the list."""
+    """A module from a JSON file or a named constructor; a constructor that
+    rejects the group with a ValueError is a ParseError."""
     name = spec.strip()
     if name.endswith(".json"):
         return _read_file(name, "module",
                           lambda text: GModule.from_json(text, group))
+    try:
+        return _named_module(group, name)
+    except ValueError as exc:
+        raise ParseError("cannot build %s over %s: %s" % (name, group.name, exc))
+
+
+def _named_module(group, name):
+    """Named module constructors; see the README for the list."""
     if name in ("trivialZ", "trivial"):
         return make_trivial(group, "Z")
     if name == "trivialF2":
@@ -90,15 +99,16 @@ def parse_module(group, spec):
         return make_augmentation_quotient(group)
     if name == "omega2Z":
         return make_omega2_trivial(group)
+    klein = group.family() == "klein"
     if name.startswith("omega:"):
-        if group.name != "Klein4":
+        if not klein:
             raise UnsupportedFamilyError("omega:<n> modules are defined over Klein4")
         n = _int(name.split(":", 1)[1], "omega parameter")
         if n == 0:
             return make_trivial(group, "F2")
         return omega_klein(n) if n > 0 else omega_negative_klein(-n)
     if name.startswith("l_zeta:"):
-        if group.name != "Klein4":
+        if not klein:
             raise UnsupportedFamilyError("l_zeta modules are defined over Klein4")
         parts = name.split(":")
         if len(parts) != 3 or parts[1] not in ZETA_NAMES:
@@ -106,16 +116,11 @@ def parse_module(group, spec):
         return l_zeta_klein(ZETA_NAMES[parts[1]], _int(parts[2], "l_zeta power"))
     if name.startswith("permutation:"):
         rest = name.split(":", 1)[1]
-        try:
-            if rest in SUBGROUP_NAMES and group.name == "Klein4":
-                seed = SUBGROUP_NAMES[rest]
-            else:
-                seed = [int(x) for x in rest.split(",") if x != ""]
-            sub = group.generated_subgroup(seed)
-        except _BAD_INPUT as exc:
-            raise ParseError("permutation subgroup must be element indices"
-                             " of the group: %s" % exc)
-        return make_permutation(group, sub)
+        if rest in SUBGROUP_NAMES and klein:
+            seed = SUBGROUP_NAMES[rest]
+        else:
+            seed = [int(x) for x in rest.split(",") if x != ""]
+        return make_permutation(group, group.generated_subgroup(seed))
     if name.startswith("counterexample:"):
         parts = name.split(":")
         if len(parts) != 3 or parts[1] not in ("A", "B", "P"):
@@ -187,13 +192,14 @@ def cmd_tate(args):
 
 
 def _chow_result(G, M, i, oracle):
-    if G.name.startswith("C") or G.order == 1:
+    family = G.family()
+    if family == "cyclic":
         return chow.twisted_chow_cyclic(G, M, i, oracle=oracle)
-    if G.name == "Klein4":
+    if family == "klein":
         if M.p != 2:
             raise ParseError("Klein twisted Chow groups need an F2 module")
         return chow.twisted_chow_klein(M, i)
-    if G.name.startswith("Q"):
+    if family == "quaternion":
         return chow.twisted_chow_quaternion(G, M, i, oracle=oracle)
     raise UnsupportedFamilyError(
         "twisted Chow closed forms cover cyclic, Klein4 and quaternion groups")
@@ -228,7 +234,7 @@ def cmd_twisted_chow(args):
 
 def cmd_twisted_motivic(args):
     G = parse_group(args.group)
-    if G.name != "Klein4":
+    if G.family() != "klein":
         raise UnsupportedFamilyError("the motivic pipeline covers Klein4 only")
     M = parse_module(G, args.module)
     if M.p != 2:
@@ -281,7 +287,7 @@ def cmd_coflasque(args):
 
 def cmd_graded(args):
     G = parse_group(args.group)
-    if G.name != "Klein4":
+    if G.family() != "klein":
         raise UnsupportedFamilyError("graded Chow modules cover Klein4 only")
     M = parse_module(G, args.module)
     if M.p != 2:

@@ -242,13 +242,14 @@ def cyclic_cohomology(group, module, n):
 
     The cochain maps alternate S = sigma - 1 (out of even degrees) and the
     trace (out of odd ones); H^0 = M^G is the one group with a free part.
+    sigma is the first element of order |G|.
     """
-    if len(group.generators) != 1 and group.order > 1:
+    if group.family() != "cyclic":
         raise ValueError("periodic resolution needs a cyclic group")
     M = module
     if n == 0 and not M.p:
         return CohomologyResult(0, "Z", structure=FiniteAbelianGroup([], M.fixed_dim()))
-    S = M.act(group.generators[0]) - np.eye(M.rank, dtype=np.int64)
+    S = M.act(group.cyclic_generator()) - np.eye(M.rank, dtype=np.int64)
 
     def d(k):
         return M.trace_matrix() if k % 2 else S

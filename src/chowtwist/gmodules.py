@@ -14,7 +14,7 @@ import random
 import numpy as np
 
 from . import fp, intlin, kleinres
-from .errors import SizePolicyError, VerificationError
+from .errors import SizePolicyError, UnsupportedFamilyError, VerificationError
 from .groups import make_klein4
 
 RING_Z = "Z"
@@ -270,10 +270,13 @@ def make_regular(group, ring=RING_Z):
 
 
 def make_sign_cyclic(group, ring=RING_Z):
-    """Rank-1 module where the cyclic generator acts by -1 (needs even order)."""
+    """Rank-1 module where the first element of order |G| acts by -1 (needs a
+    cyclic group of even order)."""
+    if group.family() != "cyclic":
+        raise UnsupportedFamilyError("the sign module needs a cyclic group")
     if group.order % 2:
         raise ValueError("sign module needs a group of even order")
-    gens = {group.generators[0]: [[-1]]}
+    gens = {group.cyclic_generator(): [[-1]]}
     return GModule(group, ring, 1, gens, check=False, name="sign")
 
 
@@ -332,7 +335,7 @@ def random_cyclic_module(group, rank, rng=None, ring=RING_Z):
         gen_mat[off:off + d, off:off + d] = blk
         off += d
     U, Uinv = _random_unimodular(rank, rng)
-    gens = {group.generators[0]: intlin.product(intlin.product(U, gen_mat), Uinv)}
+    gens = {group.cyclic_generator(): intlin.product(intlin.product(U, gen_mat), Uinv)}
     return GModule(group, ring, rank, gens, check=True, name="rand")
 
 

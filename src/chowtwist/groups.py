@@ -7,6 +7,7 @@ exhaustive enumeration, so group order is capped at 64.
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -20,18 +21,21 @@ class FiniteGroup:
     """Immutable finite group given by its multiplication table.
 
     table[i][j] is the index of the product (element i) * (element j).
-    Construction checks identity, Latin-square structure, associativity and
-    that the declared generators reach the whole group.
+    Element 0 is the identity.  Construction checks that, the Latin-square
+    structure, associativity and that the declared generators reach the
+    whole group.
     """
 
-    def __init__(self, table, identity=0, labels=None, generators=None, name=None):
+    identity = 0
+
+    def __init__(self, table, labels=None, generators=None, name=None):
         t = np.asarray(table, dtype=np.int64)
         n = t.shape[0]
         if t.shape != (n, n):
             raise ValueError("table must be square")
         if n > MAX_ORDER:
             raise SizePolicyError("group order %d exceeds the cap of %d" % (n, MAX_ORDER))
-        if not (np.all(t[identity] == np.arange(n)) and np.all(t[:, identity] == np.arange(n))):
+        if not (np.all(t[0] == np.arange(n)) and np.all(t[:, 0] == np.arange(n))):
             raise ValueError("identity row/column is not the identity permutation")
         ar = np.arange(n)
         for i in range(n):
@@ -43,17 +47,13 @@ class FiniteGroup:
         self.order = n
         self.table = t
         self.table.setflags(write=False)
-        self.identity = int(identity)
         self.labels = list(labels) if labels else ["e%d" % i for i in range(n)]
         if len(self.labels) != n:
             raise ValueError("need one label per element")
-        inv = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            inv[i] = int(np.nonzero(t[i] == self.identity)[0][0])
-        self.inverse = inv
+        self.inverse = np.argmax(t == 0, axis=1)  # the column of each row's 0
         self.inverse.setflags(write=False)
         if generators is None:
-            generators = [i for i in range(n) if i != self.identity] or [self.identity]
+            generators = list(range(1, n)) or [0]
         self.generators = self._indices(generators)
         if self._closure(self.generators) != set(range(n)):
             raise ValueError("declared generators do not generate the group")
@@ -78,6 +78,26 @@ class FiniteGroup:
             x = self.mul(x, a)
             k += 1
         return k
+
+    def cyclic_generator(self):
+        """The first element of order |G|; a ValueError if there is none."""
+        return [self.element_order(a) for a in range(self.order)].index(self.order)
+
+    def family(self):
+        """The family of G, read from the element orders alone: "cyclic",
+        "klein", "quaternion" (generalized quaternion) or None.  A 2-group
+        with one element of order 2 has one subgroup of order 2, so it is
+        cyclic or generalized quaternion (Cartan-Eilenberg, Homological
+        Algebra, XII.11)."""
+        n = self.order
+        orders = [self.element_order(a) for a in range(n)]
+        if n in orders:
+            return "cyclic"
+        if n == 4:
+            return "klein"
+        if n & (n - 1) == 0 and orders.count(2) == 1:
+            return "quaternion"
+        return None
 
     def _closure(self, seed):
         seen = {self.identity}
@@ -210,24 +230,14 @@ class Subgroup:
         pos = self._pos
         n = self.order
         table = [[pos[G.mul(els[i], els[j])] for j in range(n)] for i in range(n)]
-        gens = None
-        for a in range(n):
-            if len(G._closure([els[a]])) == n:  # cyclic subgroup
-                gens = [a]
-                break
-        if gens is None:
-            for a in range(n):
-                for b in range(a + 1, n):
-                    if len(G._closure([els[a], els[b]])) == n:
-                        gens = [a, b]
-                        break
-                if gens is not None:
-                    break
-        if gens is None:
-            gens = [i for i in range(n) if els[i] != G.identity] or [0]
+        # the first generating element, else the first generating pair, else
+        # every element
+        seeds = itertools.chain(itertools.combinations(range(n), 1),
+                                itertools.combinations(range(n), 2))
+        gens = next((list(s) for s in seeds
+                     if len(G._closure([els[a] for a in s])) == n), None)
         H = FiniteGroup(
             table,
-            identity=pos[G.identity],
             labels=[G.labels[e] for e in els],
             generators=gens,
             name="%s_sub%d" % (G.name, self.order),

@@ -1,6 +1,9 @@
+import itertools
+
 import pytest
 
 from chowtwist.gmodules import GModule
+from chowtwist.groups import FiniteGroup
 
 
 def change_ring_mod(M, p):
@@ -15,6 +18,40 @@ def change_ring_mod(M, p):
 def p_rank(A, p):
     """The number of invariant factors of A divisible by p."""
     return sum(1 for d in A.invariant_factors if d % p == 0)
+
+
+def metacyclic(n, r, t, name):
+    """<x, y | x^n, y^2 = x^t, y x y^-1 = x^r> with x^a y^b at index
+    a + b*n: D_2n is (n, -1, 0), SD16 (8, 3, 0), Q_2n (n, -1, n/2) and
+    C_n x C_2 (n, 1, 0)."""
+
+    def mul(i, j):
+        a1, b1, a2, b2 = i % n, i // n, j % n, j // n
+        a = a1 + (a2 * r if b1 else a2) + (t if b1 and b2 else 0)
+        return a % n + ((b1 + b2) % 2) * n
+
+    return FiniteGroup([[mul(i, j) for j in range(2 * n)] for i in range(2 * n)],
+                       name=name)
+
+
+def abelian(orders, name):
+    """The direct product of the cyclic groups of the given orders, in
+    mixed radix (the first factor varies fastest)."""
+    elements = [e[::-1] for e in itertools.product(*[range(k) for k in orders[::-1]])]
+    index = {e: i for i, e in enumerate(elements)}
+    table = [[index[tuple((x + y) % k for x, y, k in zip(a, b, orders))]
+              for b in elements] for a in elements]
+    return FiniteGroup(table, name=name)
+
+
+def relabel(G, perm):
+    """G with element a renamed perm[a]; perm[0] must be 0."""
+    table = [[0] * G.order for _ in range(G.order)]
+    for a in range(G.order):
+        for b in range(G.order):
+            table[perm[a]][perm[b]] = perm[G.mul(a, b)]
+    return FiniteGroup(table, generators=[perm[g] for g in G.generators],
+                       name=G.name)
 
 
 _CRITERION_LINES = []

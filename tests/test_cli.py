@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -7,6 +8,9 @@ import sys
 import pytest
 
 from chowtwist import cli
+from chowtwist.groups import FiniteGroup, group_by_name, make_cyclic
+
+from conftest import metacyclic, relabel
 
 
 def run(capsys, argv):
@@ -336,3 +340,106 @@ def test_max_degree_flag(capsys):
     code2, out = run(capsys, ["twisted-chow", "--group", "C4", "--module",
                               "trivialZ", "--degree", "5", "--max-degree", "6"])
     assert code2 == 0
+
+
+# built-in group, seed of the relabelling, degree ranges per module; the
+# odd degrees of augmentation and omega2Z over Q16 are left out, as each
+# takes 20-35 s on a 2-core box, nearly all in the Smith normal form of H^2
+_ALL = {"trivialZ": ["0..3"], "augmentation": ["0..3"], "omega2Z": ["0..3"]}
+_RELABEL_CASES = [
+    ("Q8", 3, _ALL),
+    ("Q16", 4, {"trivialZ": ["0..3"], "augmentation": ["0", "2"],
+                "omega2Z": ["0", "2"]}),
+    ("C6", 6, _ALL),
+    ("C8", 8, _ALL),
+]
+
+
+def _relabelled(name, seed):
+    G = group_by_name(name)
+    n = G.order
+    return relabel(G, [0] + random.Random(seed).sample(range(1, n), n - 1))
+
+
+def _save_group(tmp_path, G, stem):
+    path = tmp_path / (stem + ".json")
+    path.write_text(json.dumps(G.to_json()))
+    return str(path)
+
+
+@pytest.mark.parametrize("name,seed,modules", _RELABEL_CASES,
+                         ids=[c[0] for c in _RELABEL_CASES])
+def test_relabelled_group_gives_the_same_chow_groups(tmp_path, capsys, name, seed,
+                                                     modules):
+    path = _save_group(tmp_path, _relabelled(name, seed), name)
+    for module, ranges in modules.items():
+        for degrees in ranges:
+            argv = ["--module", module, "--degree", degrees, "--format", "json"]
+            want = run(capsys, ["twisted-chow", "--group", name] + argv)
+            assert want[0] == 0
+            assert run(capsys, ["twisted-chow", "--group", path] + argv) == want, module
+
+
+@pytest.mark.parametrize("name,seed,modules", _RELABEL_CASES,
+                         ids=[c[0] for c in _RELABEL_CASES])
+def test_relabelled_group_gives_the_same_transfer_report(name, seed, modules):
+    from chowtwist import chow
+    from chowtwist import gmodules as gm
+    G, H = group_by_name(name), _relabelled(name, seed)
+    makers = [gm.make_trivial]
+    if name != "Q16":  # 20-35 s each over Q16, as above
+        makers += [gm.make_augmentation_quotient, gm.make_omega2_trivial]
+    for make in makers:
+        assert (chow.transfer_generation_check(H, make(H), 1)
+                == chow.transfer_generation_check(G, make(G), 1)), make.__name__
+
+
+def test_dihedral_table_named_q8_is_refused(tmp_path, capsys):
+    path = _save_group(tmp_path, metacyclic(4, -1, 0, "Q8"), "d8")
+    code = cli.main(["twisted-chow", "--group", path, "--module", "trivialZ",
+                     "--degree", "1"])
+    assert code == cli.EXIT_FAMILY
+
+
+def test_cyclic_table_named_klein4_is_cyclic(tmp_path, capsys):
+    path = _save_group(tmp_path, FiniteGroup(make_cyclic(4).table, name="Klein4"),
+                       "c4")
+    code, out = run(capsys, ["twisted-chow", "--group", path,
+                             "--module", "trivialF2", "--degree", "1"])
+    assert code == 0
+    assert out == "degree  value\n1       dim 1\n"
+    for argv in (["twisted-chow", "--module", "omega:-2", "--degree", "1"],
+                 ["twisted-motivic", "--module", "trivialF2"],
+                 ["graded", "--module", "trivialF2"]):
+        assert cli.main(argv + ["--group", path]) == cli.EXIT_FAMILY, argv[0]
+
+
+def test_relabelled_q8_named_q8(tmp_path, capsys):
+    # this relabelling moves x, y and xy off make_quaternion's indices
+    path = _save_group(tmp_path, _relabelled("Q8", 3), "q8")
+    code, out = run(capsys, ["twisted-chow", "--group", path,
+                             "--module", "trivialZ", "--degree", "1"])
+    assert code == 0
+    assert out == "degree  value\n1       Z/2 + Z/2\n"
+
+
+def test_cyclic_group_with_two_declared_generators(tmp_path, capsys):
+    G = FiniteGroup(make_cyclic(6).table, generators=[2, 3], name="C6")
+    path = _save_group(tmp_path, G, "c6")
+    code, out = run(capsys, ["twisted-chow", "--group", path, "--module",
+                             "trivialZ", "--degree", "1", "--oracle"])
+    assert code == 0
+    assert out == "degree  value\n1       Z/6\n"
+    argv = ["--module", "sign", "--degree", "0..3", "--oracle"]
+    got = run(capsys, ["twisted-chow", "--group", path] + argv)
+    assert got == run(capsys, ["twisted-chow", "--group", "C6"] + argv)
+    assert got[0] == 0
+
+
+@pytest.mark.parametrize("group,code", [("klein4", cli.EXIT_FAMILY),
+                                        ("Q8", cli.EXIT_FAMILY),
+                                        ("C5", cli.EXIT_PARSE)])
+def test_sign_module_exit_codes(capsys, group, code):
+    assert cli.main(["twisted-chow", "--group", group, "--module", "sign",
+                     "--degree", "1"]) == code
+    assert "Traceback" not in capsys.readouterr().err

@@ -1,10 +1,13 @@
 import json
+import random
 
 import pytest
 
 from chowtwist.errors import SizePolicyError
 from chowtwist.groups import (FiniteGroup, double_cosets, group_by_name,
                               make_cyclic, make_klein4, make_quaternion)
+
+from conftest import abelian, metacyclic, relabel
 
 
 def test_cyclic_basics():
@@ -41,6 +44,37 @@ def test_quaternion_orders():
         assert make_quaternion(m).order == 2 ** m
     with pytest.raises(SizePolicyError):
         make_quaternion(2)
+
+
+def test_family_from_the_table():
+    cases = [
+        (make_cyclic(8), "cyclic"),
+        (abelian([2, 4], "C2xC4"), None),
+        (abelian([2, 2, 2], "C2^3"), None),
+        (metacyclic(4, -1, 0, "D8"), None),
+        (make_quaternion(3), "quaternion"),
+        (metacyclic(4, -1, 2, "Q8"), "quaternion"),
+        (metacyclic(8, -1, 0, "D16"), None),
+        (metacyclic(8, 3, 0, "SD16"), None),
+        (make_quaternion(4), "quaternion"),
+        (make_klein4(), "klein"),
+        (abelian([2, 2], "V4"), "klein"),
+        (make_cyclic(1), "cyclic"),
+        (abelian([2, 3], "C2xC3"), "cyclic"),
+        (metacyclic(3, -1, 0, "S3"), None),
+    ]
+    for G, family in cases:
+        assert G.family() == family, G.name
+        perm = [0] + random.Random(G.order).sample(range(1, G.order), G.order - 1)
+        assert relabel(G, perm).family() == family, G.name
+
+
+def test_cyclic_generator_by_element_order():
+    G = FiniteGroup(make_cyclic(6).table, generators=[2, 3])
+    assert G.cyclic_generator() == 1
+    assert abelian([2, 3], "C2xC3").cyclic_generator() == 3  # (1, 1)
+    with pytest.raises(ValueError):
+        make_klein4().cyclic_generator()
 
 
 def test_group_by_name():

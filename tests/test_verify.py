@@ -124,15 +124,42 @@ def test_verification_check_survives_optimize(check):
     assert last.startswith("chowtwist.errors.VerificationError: " + message), out.stderr
 
 
-def test_no_assert_statements_in_the_package():
-    """Checks must survive python -O, which strips every assert."""
+def _package_trees():
+    """(file name, parsed AST) of each module of src/chowtwist."""
     pkg = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "src", "chowtwist")
-    found = []
     for name in sorted(os.listdir(pkg)):
         if name.endswith(".py"):
             with open(os.path.join(pkg, name)) as fh:
-                tree = ast.parse(fh.read(), name)
-            found += ["%s:%d" % (name, node.lineno) for node in ast.walk(tree)
-                      if isinstance(node, ast.Assert)]
+                yield name, ast.parse(fh.read(), name)
+
+
+def test_no_assert_statements_in_the_package():
+    """Checks must survive python -O, which strips every assert."""
+    found = []
+    for name, tree in _package_trees():
+        found += ["%s:%d" % (name, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
     assert not found, "assert statements in src/chowtwist: " + ", ".join(found)
+
+
+def _is_name_attribute(node):
+    return isinstance(node, ast.Attribute) and node.attr == "name"
+
+
+def test_no_dispatch_on_names_in_the_package():
+    """Families come from FiniteGroup.family(), never from what a group or a
+    module is called: no comparison with a .name attribute and no
+    .name.startswith(...)."""
+    found = []
+    for name, tree in _package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare):
+                bad = any(map(_is_name_attribute, [node.left] + node.comparators))
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                bad = node.func.attr == "startswith" and _is_name_attribute(node.func.value)
+            else:
+                bad = False
+            if bad:
+                found.append("%s:%d" % (name, node.lineno))
+    assert not found, "dispatch on .name in src/chowtwist: " + ", ".join(found)
