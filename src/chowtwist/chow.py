@@ -182,17 +182,17 @@ def _transfer_images(group, module, *subgroup_lists):
     and m0 over a basis of M^H: for H in the first list, then in the first
     two lists together, and so on.
 
-    Over Z the cocycles become class tuples in one IntegralClassSpace.  Over
-    F_p the image is (Z/p)^d, d its dimension modulo the coboundaries.
+    Over Z the structure comes from invariant factors of delta_1 next to
+    the raw cocycles (_subgroup_structure), with no transform.  Over F_p
+    the image is (Z/p)^d, d its dimension modulo the coboundaries.
     """
     p = module.p
+    d1 = coh.BarComplex(group, module).delta_matrix(1)
     if p:
-        d1 = coh.BarComplex(group, module).delta_matrix(1)
         span = fp.Span(d1.shape[0], p, d1.T)
         coboundaries = span.rank
-    else:
-        space = coh.IntegralClassSpace(group, module, 2)
-        classes = []
+    h2 = None
+    cocycles = []
     images = []
     for subgroups in subgroup_lists:
         for sub in subgroups:
@@ -210,25 +210,81 @@ def _transfer_images(group, module, *subgroup_lists):
                     if p:
                         span.add(z)
                     else:
-                        classes.append(space.class_of(z))
-        images.append(FiniteAbelianGroup([p] * (span.rank - coboundaries), 0)
-                      if p else _subgroup_structure(space, classes))
+                        cocycles.append(z)
+        if p:
+            images.append(FiniteAbelianGroup([p] * (span.rank - coboundaries), 0))
+            continue
+        if cocycles and h2 is None:
+            h2 = intlin.invariant_factors(d1, group.order)
+        images.append(_subgroup_structure(d1, h2, cocycles, group.order))
     return images
 
 
-def _subgroup_structure(space, classes):
-    """Structure of the subgroup of H^2 generated by class tuples, as a
-    FiniteAbelianGroup: Z^k modulo the kernel of the evaluation map."""
-    k = len(classes)
-    mods = space.factors
-    if k == 0 or not mods:
+def _subgroup_structure(d1, h2, cocycles, exponent):
+    """Structure of the subgroup C of H^2 = tors coker d1 generated by the
+    classes of the given cocycles, from invariant factors alone; exponent
+    kills H^2, and h2 is invariant_factors(d1, exponent).
+
+    C^2 / ker delta_2 is free, so with Z the cocycles as columns the torsion
+    of coker [d1 | m Z] is H^2 / mC.  With m = p^j, log_p |p^j C|_p is
+    s_j = log_p |H^2|_p - log_p |H^2 / p^j C|_p, and C has s_(j-1) - s_j
+    cyclic p-factors of order at least p^j.  One call serves every prime,
+    with m the product of their p^j.  A prime needs no further call once
+    s_j is 0 by definition (p^j kills H^2_p), or once p^j H^2_p, and so
+    p^j C_p, has at most one cyclic factor, for then the order p^(s_j) of
+    p^j C_p fixes the rest.  The first call, at m = 1, also checks that
+    every column of Z is a cocycle.
+    """
+    if not cocycles:
         return FiniteAbelianGroup([], 0)
-    rows = [[classes[j][t] for j in range(k)] for t in range(len(mods))]
-    free, factors = intlin.quotient_structure(k, intlin.kernel_mod(rows, mods),
-                                              math.lcm(*mods))
-    if free:
-        raise VerificationError("evaluation kernel has corank %d, not 0" % free)
-    return FiniteAbelianGroup(factors, 0)
+    h2_factors, rank = h2
+    Z = np.column_stack(cocycles)
+    # p -> log_p of the exponent of H^2_p
+    kills = dict(intlin.prime_powers(h2_factors[-1] if h2_factors else 1))
+    vals = {p: [_valuation(d, p) for d in h2_factors] for p in kills}
+    sizes = {p: [] for p in kills}  # p -> [s_0, s_1, ...], ending in 0
+    open_primes = list(kills)
+    j = 0
+    while True:
+        m = math.prod(p ** j for p in open_primes)
+        factors, r = intlin.invariant_factors(np.hstack([d1, m * Z]), exponent)
+        if r != rank:
+            raise VerificationError("a transfer is not a cocycle: rank [d1 | Z]"
+                                    " is %d, rank d1 is %d" % (r, rank))
+        j += 1
+        for p in list(open_primes):
+            s = sizes[p]
+            s.append(sum(vals[p]) - sum(_valuation(d, p) for d in factors))
+            if j >= kills[p]:
+                s.append(0)
+            elif sum(v >= j for v in vals[p]) <= 1:
+                # p^(j-1) C_p has no more cyclic factors than p^(j-1) H^2_p
+                s.extend(range(s[-1] - 1, -1, -1))
+            else:
+                continue
+            open_primes.remove(p)
+        if not open_primes:
+            break
+    # s_(a-1) - s_a cyclic factors of order at least p^a; each p-part is
+    # listed largest first and spread over the chain from its top
+    parts = []
+    for p, s in sizes.items():
+        at_least = [s[a - 1] - s[a] for a in range(1, len(s))] + [0]
+        parts.append([p ** a for a in range(len(s) - 1, 0, -1)
+                      for _ in range(at_least[a - 1] - at_least[a])])
+    out = [1] * max(map(len, parts), default=0)
+    for part in parts:
+        for i, q in enumerate(part):
+            out[-1 - i] *= q
+    return FiniteAbelianGroup(out, 0)
+
+
+def _valuation(d, p):
+    v = 0
+    while d % p == 0:
+        d //= p
+        v += 1
+    return v
 
 
 def twisted_chow_quaternion(group, module, i, oracle=False):

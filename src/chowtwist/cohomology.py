@@ -445,7 +445,10 @@ class IntegralClassSpace:
 
     Runs Smith normal form on delta_{n-1} with the forward transform
     tracked; a cocycle's class is its vector of cokernel coordinates at the
-    torsion slots (free slots must read zero, since H^n is finite).
+    torsion slots (free slots must read zero, since H^n is finite).  No
+    path of the package uses it: the tests build the reference for
+    chow._subgroup_structure from its class tuples, and the benchmark
+    tracer wraps class_of.
     """
 
     def __init__(self, group, module, n):

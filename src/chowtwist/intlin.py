@@ -14,10 +14,11 @@ the caller passes an exponent that every nonzero invariant factor divides,
 and elimination runs in int64 numpy arrays modulo small prime powers
 (Iliopoulos, SIAM J. Comput. 18, 1989; Dumas-Saunders-Villard, J. Symb.
 Comput. 32, 2001).  The same unit-pivot elimination, in reduced form, is
-fp.rref at p = 3 and 5.  The Smith normal form stays for its row transform,
-which it keeps as a numpy array, and as the reference the tests compare
-against.  Products of numpy matrices that may grow go through product(),
-which switches to exact Python ints before int64 could wrap.
+fp.rref at p = 3 and 5.  No path of the package runs the Smith normal form:
+it stays, with its numpy row transform, only as the reference the tests
+compare against and as a layer the benchmark tracer wraps.  Products of
+numpy matrices that may grow go through product(), which switches to
+exact Python ints before int64 could wrap.
 """
 
 from __future__ import annotations
@@ -363,7 +364,7 @@ def smith_normal_form(rows, want_u=False):
     return diag, U
 
 
-def _prime_powers(n):
+def prime_powers(n):
     """[(p, k)] with p^k exactly dividing n, p ascending."""
     out = []
     p = 2
@@ -477,7 +478,7 @@ def invariant_factors(rows, exponent):
         return [], 0
     rank = _pivot_counts(rows, _rank_prime(exponent), 1)[0]
     factors = [1] * rank
-    for p, k in _prime_powers(exponent):
+    for p, k in prime_powers(exponent):
         if p ** (k + 1) >= 1 << 31:
             raise ValueError("exponent %d has a prime power too large for int64"
                              " elimination" % exponent)

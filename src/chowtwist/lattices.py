@@ -3,7 +3,7 @@ modules, and the explicit rank-(5m+1) kernel lattices over the Klein group.
 
 H^1(H, M) for a lattice M equals the torsion of the cokernel of the map
 m -> (h m - m)_{h in H}, so the coflasque predicate is a handful of small
-Smith normal forms; no bar resolution is involved.
+invariant-factor computations; no bar resolution is involved.
 """
 
 from __future__ import annotations

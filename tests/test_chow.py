@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -7,10 +8,11 @@ from chowtwist import chow, cli, f2, intlin
 from chowtwist import lattices as lat
 from chowtwist import cohomology as coh
 from chowtwist import gmodules as gm
-from chowtwist.errors import UnsupportedFamilyError
-from chowtwist.groups import make_cyclic, make_klein4, make_quaternion
+from chowtwist.errors import UnsupportedFamilyError, VerificationError
+from chowtwist.groups import (FiniteGroup, make_cyclic, make_klein4,
+                              make_quaternion)
 
-from conftest import change_ring_mod
+from conftest import abelian, change_ring_mod, metacyclic, relabel
 
 
 def test_cyclic_trivial_values():
@@ -239,13 +241,186 @@ def test_klein_degree_data_adds_coboundaries_once(monkeypatch):
 def test_quaternion_transfer_check_corestricts_once(monkeypatch):
     calls = _count_calls(monkeypatch, coh, "corestriction_cochain")
     snf = _count_calls(monkeypatch, intlin, "smith_normal_form")
+    inv = _count_calls(monkeypatch, intlin, "invariant_factors")
     Q = make_quaternion(3)
     M = gm.make_omega2_trivial(Q)
     report = chow.transfer_generation_check(Q, M, 1)
     assert report == {"group": "Q8", "module": M.name, "degree": 1,
                       "generated": True, "span3": 4, "span_all": 4}
     assert len(calls) == 38  # 27 from the three index-2 subgroups, 11 more
-    assert len(snf) == 1  # one class space serves both subgroup lists
+    assert len(snf) == 0  # no transform on the integral path
+    # H^2 = Z/8 once for both lists, then one call per list: H^2 is cyclic,
+    # so the order of each image fixes it
+    assert len(inv) <= 3
+
+
+# ---------------------------------------------------------------------------
+# reference for the transfer-image structure: class tuples in the Smith
+# normal form coordinates of H^2, and the evaluation kernel modulo its
+# invariant factors
+
+
+def _evaluation_structure(classes, mods):
+    """The subgroup of the sum of the Z/mods[t] generated by the class
+    tuples, as Z^k modulo the kernel of the evaluation map."""
+    if not classes or not mods:
+        return gm.FiniteAbelianGroup([], 0)
+    rows = [[c[t] for c in classes] for t in range(len(mods))]
+    free, factors = intlin.quotient_structure(
+        len(classes), intlin.kernel_mod(rows, mods), math.lcm(*mods))
+    assert free == 0
+    return gm.FiniteAbelianGroup(factors, 0)
+
+
+def _class_tuple_structure(space, cocycles):
+    """The subgroup of H^2 generated by the cocycles' classes, from their
+    class tuples in space (an IntegralClassSpace; None when H^2 is
+    trivial)."""
+    if space is None:
+        return gm.FiniteAbelianGroup([], 0)
+    return _evaluation_structure([space.class_of(z) for z in cocycles],
+                                 space.factors)
+
+
+def _reference_space(G, M):
+    """IntegralClassSpace of H^2(G, M), or None when H^2 is trivial (its
+    Smith normal form takes 14 s for the augmentation module of Q16)."""
+    if coh.tate(G, M, 2).structure.is_trivial():
+        return None
+    return coh.IntegralClassSpace(G, M, 2)
+
+
+def _recorded_structures(monkeypatch):
+    """Wrap chow._subgroup_structure; the list it returns fills with
+    (cocycles, structure) per call."""
+    seen = []
+    original = chow._subgroup_structure
+
+    def recorded(d1, h2, cocycles, exponent):
+        out = original(d1, h2, cocycles, exponent)
+        seen.append((list(cocycles), out))
+        return out
+
+    monkeypatch.setattr(chow, "_subgroup_structure", recorded)
+    return seen
+
+
+def _q8_relabelled():
+    G = make_quaternion(3)
+    return relabel(G, [0] + random.Random(3).sample(range(1, 8), 7))
+
+
+def _case(name, make, *specs):
+    return [pytest.param(make, spec, id="%s-%s" % (name, spec)) for spec in specs]
+
+
+_STRUCTURE_CASES = (
+    [c for n in range(2, 10)
+     for c in _case("C%d" % n, lambda n=n: make_cyclic(n),
+                    *(["trivialZ", "sign"] if n % 2 == 0 else ["trivialZ"]))]
+    + _case("Q8", lambda: make_quaternion(3), "trivialZ", "augmentation", "omega2Z")
+    # omega2Z over Q16 is left out: its Smith normal form takes 21 s
+    + _case("Q16", lambda: make_quaternion(4), "trivialZ", "augmentation")
+    + _case("Q8relabelled", _q8_relabelled, "trivialZ", "omega2Z")
+    + _case("D8", lambda: metacyclic(4, -1, 0, "D8"), "trivialZ"))
+
+
+@pytest.mark.parametrize("make, spec", _STRUCTURE_CASES)
+def test_transfer_structure_matches_class_tuples(monkeypatch, make, spec):
+    # C6 has two primes and C9 a p^2 factor; two primes open past j = 0
+    # are left to the mixed diagonal presentations below
+    G = make()
+    M = cli.parse_module(G, spec)
+    seen = _recorded_structures(monkeypatch)
+    top = G.full_subgroup()
+    chow._transfer_images(G, M, [s for s in G.subgroups() if s != top], [top])
+    assert len(seen) == 2
+    space = _reference_space(G, M)
+    for cocycles, structure in seen:
+        assert structure == _class_tuple_structure(space, cocycles)
+
+
+@pytest.mark.parametrize("orders", [(2, 12), (4, 8), (6, 6)])
+def test_random_cocycle_subgroups_match_class_tuples(orders):
+    # integer combinations of first Chern classes plus coboundaries give
+    # subgroups of H^2 = Hom(G, Q/Z) of every shape, not only the
+    # transfer images
+    A = abelian(list(orders), "A")
+    # two generators: all_characters tries |G|^(number of generators) values
+    G = FiniteGroup(A.table, generators=[1, orders[0]], name="A")
+    M = gm.make_trivial(G)
+    d1 = coh.BarComplex(G, M).delta_matrix(1)
+    h2 = intlin.invariant_factors(d1, G.order)
+    space = coh.IntegralClassSpace(G, M, 2)
+    cherns = [coh.character_chern(G, chi) for chi in coh.all_characters(G)
+              if any(chi.values())]
+    rng = np.random.default_rng(sum(orders))
+    shapes = set()
+    for _ in range(12):
+        cocycles = []
+        for _ in range(int(rng.integers(1, 4))):
+            c = rng.integers(-3, 4, size=len(cherns)) * rng.choice([1, 2, 3, 4],
+                                                                   size=len(cherns))
+            c[rng.random(len(cherns)) < 0.7] = 0
+            z = sum(int(a) * b for a, b in zip(c, cherns))
+            cocycles.append(z + d1 @ rng.integers(-2, 3, size=d1.shape[1]))
+        got = chow._subgroup_structure(d1, h2, cocycles, G.order)
+        assert got == _class_tuple_structure(space, cocycles)
+        shapes.add(len(got.invariant_factors))
+    assert shapes >= {1, 2}  # cyclic and two-factor images both occur
+
+
+def _unimodular(n, rng):
+    """A random integer matrix of determinant 1 with small entries."""
+    U = np.eye(n, dtype=np.int64)
+    for _ in range(2 * n):
+        i, j = rng.choice(n, size=2, replace=False)
+        U[i] += int(rng.integers(-2, 3)) * U[j]
+    return U
+
+
+@pytest.mark.parametrize("mods", [(36, 36), (4, 36, 72), (8, 9, 27)])
+def test_subgroup_structure_on_mixed_diagonal_presentations(monkeypatch, mods):
+    # no small group has H^2 with p^2 and two cyclic p-factors for two
+    # primes at once, which is when two primes stay open past j = 0; here
+    # H^2 = (+) Z/mods[t] is the torsion of coker U [diag(mods); 0] V, and
+    # the last coordinate before U plays C^2 / ker delta_2
+    rng = np.random.default_rng(sum(mods))
+    k = len(mods)
+    U, V = _unimodular(k + 1, rng), _unimodular(k, rng)
+    d1 = U @ np.vstack([np.diag(mods), np.zeros((1, k), dtype=np.int64)]) @ V
+    exponent = math.lcm(*mods)
+    h2 = intlin.invariant_factors(d1, exponent)
+    calls = _count_calls(monkeypatch, intlin, "invariant_factors")
+    bound = max(e for _, e in intlin.prime_powers(exponent))
+    for _ in range(10):
+        X = rng.integers(-3, 4, size=(k, int(rng.integers(1, 4))))
+        X *= rng.choice([1, 2, 3, 4, 6, 9], size=X.shape)
+        Z = U @ np.vstack([X, np.zeros((1, X.shape[1]), dtype=np.int64)])
+        del calls[:]
+        got = chow._subgroup_structure(d1, h2, list(Z.T), exponent)
+        # j = 0 .. e - 1 at most, p^e the largest prime power of the
+        # exponent: p^e C is trivial by definition
+        assert len(calls) <= bound
+        assert got == _evaluation_structure([tuple(x) for x in X.T.tolist()],
+                                            list(mods))
+    # a column with a free coordinate is no cocycle
+    bent = U @ np.eye(k + 1, dtype=np.int64)[:, k]
+    with pytest.raises(VerificationError, match="not a cocycle"):
+        chow._subgroup_structure(d1, h2, [bent], exponent)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_cyclic(6), lambda: make_cyclic(9), make_klein4,
+    lambda: make_quaternion(3), lambda: metacyclic(4, -1, 0, "D8")],
+    ids=["C6", "C9", "Klein4", "Q8", "D8"])
+def test_first_chern_classes_generate_h2(make):
+    # over trivial Z, H^2 = Hom(G, Q/Z) is spanned by the c_1 of the
+    # characters of G itself, so the image from all subgroups is all of it
+    G = make()
+    T = gm.make_trivial(G)
+    image, = chow._transfer_images(G, T, G.subgroups())
+    assert image == coh.tate(G, T, 2).structure
 
 
 def test_result_json_shape():

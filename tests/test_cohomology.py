@@ -157,14 +157,20 @@ def test_all_characters():
                     assert (chi[a] + chi[b] - chi[G.mul(a, b)]) % 1 == 0
 
 
+def _h2_coboundaries(G):
+    """delta_1 of G with trivial Z coefficients, and its invariant factors
+    and rank: H^2 = tors coker delta_1."""
+    d1 = coh.BarComplex(G, gm.make_trivial(G)).delta_matrix(1)
+    return d1, intlin.invariant_factors(d1, G.order)
+
+
 def test_character_chern_order():
     G = make_cyclic(4)
-    T = gm.make_trivial(G)
-    space = coh.IntegralClassSpace(G, T, 2)
-    assert space.factors == [4]
+    d1, h2 = _h2_coboundaries(G)
+    assert h2[0] == [4]
     chi = {g: Fraction(g, 4) for g in range(4)}  # faithful: sigma^g -> g/4
-    cls = space.class_of(coh.character_chern(G, chi))
-    assert chow._subgroup_structure(space, [cls]).order == 4
+    z = coh.character_chern(G, chi)
+    assert chow._subgroup_structure(d1, h2, [z], 4).order == 4
 
 
 def test_class_of_exact_product_agrees_with_int64():
@@ -182,11 +188,10 @@ def test_class_of_exact_product_agrees_with_int64():
 
 def test_character_chern_nonfaithful():
     G = make_cyclic(4)
-    T = gm.make_trivial(G)
-    space = coh.IntegralClassSpace(G, T, 2)
+    d1, h2 = _h2_coboundaries(G)
     chi = {g: Fraction(g, 2) % 1 for g in range(4)}  # factors through C2
-    cls = space.class_of(coh.character_chern(G, chi))
-    assert chow._subgroup_structure(space, [cls]).order == 2
+    z = coh.character_chern(G, chi)
+    assert chow._subgroup_structure(d1, h2, [z], 4).order == 2
 
 
 def test_cor_res_is_multiplication_by_index():
@@ -206,9 +211,10 @@ def test_cor_res_is_multiplication_by_index():
 
 def test_subgroup_generated():
     G = make_cyclic(6)
-    space = coh.IntegralClassSpace(G, gm.make_trivial(G), 2)
-    assert space.factors == [6]
-    sub = chow._subgroup_structure(space, [(2,)])
+    d1, h2 = _h2_coboundaries(G)
+    assert h2[0] == [6]
+    z = coh.character_chern(G, {g: Fraction(g, 6) for g in range(6)})
+    sub = chow._subgroup_structure(d1, h2, [2 * z], 6)
     assert sub.order == 3  # the index-2 subgroup of Z/6
 
 

@@ -88,14 +88,19 @@ _TAMPERS = {
         "P.dims[2] += 1\n"
         "graded.hilbert_series(P)\n",
         "presentation disagrees with the dimension table"),
-    "evaluation_corank": (
-        "from chowtwist import chow, gmodules as gm, intlin\n"
+    "transfer_not_cocycle": (
+        "from chowtwist import chow, cohomology as coh, gmodules as gm\n"
         "from chowtwist.groups import make_quaternion\n"
-        "# an evaluation kernel that lost every vector\n"
-        "intlin.kernel_mod = lambda rows, moduli: []\n"
+        "# every transfer picks up a cochain outside ker delta_2\n"
+        "cor = coh.corestriction_cochain\n"
+        "def bent(*args):\n"
+        "    z = cor(*args).copy()\n"
+        "    z[0] += 1\n"
+        "    return z\n"
+        "coh.corestriction_cochain = bent\n"
         "G = make_quaternion(3)\n"
         "chow.twisted_chow_quaternion(G, gm.make_trivial(G), 1)\n",
-        "evaluation kernel has corank"),
+        "a transfer is not a cocycle"),
     "counterexample_span": (
         "from chowtwist import intlin, lattices\n"
         "# a kernel mod 2 that holds f_1, which S does not kill\n"
