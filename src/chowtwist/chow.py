@@ -169,7 +169,8 @@ def twisted_chow_klein(module, i):
     """CH^i(BG, M) for the Klein four group, M an F_2 module."""
     kcm = module if isinstance(module, KleinChowModule) else KleinChowModule(module)
     return TwistedChowResult(i, kcm.dim(i), "image_computation",
-                             group_name="Klein4", module_name=kcm.module.name)
+                             group_name=kcm.module.group.name,
+                             module_name=kcm.module.name)
 
 
 # ---------------------------------------------------------------------------
@@ -178,9 +179,11 @@ def twisted_chow_klein(module, i):
 
 def _transfer_images(group, module, *subgroup_lists):
     """The subgroups of H^2(G, M) generated by the transfers
-    cor_H(c_1(chi) . m0), chi running over the nontrivial characters of H
-    and m0 over a basis of M^H: for H in the first list, then in the first
-    two lists together, and so on.
+    cor_H(c_1(chi) . m0), chi running over generators of the characters of
+    H and m0 over a basis of M^H: for H in the first list, then in the
+    first two lists together, and so on.  c_1, the cup product with m0 and
+    cor are additive, so generators of the characters give the subgroup
+    that all characters give.
 
     Over Z the structure comes from invariant factors of delta_1 next to
     the raw cocycles (_subgroup_structure), with no transform.  Over F_p
@@ -200,10 +203,8 @@ def _transfer_images(group, module, *subgroup_lists):
                 continue
             MH, H, _ = restrict(module, sub)
             fixed = MH.fixed_points()
-            for chi in coh.all_characters(H):
-                if not any(chi.values()):
-                    continue
-                chern = coh.character_chern(H, chi)
+            for x in coh.character_generators(H):
+                chern = coh.character_chern(H, x)
                 for m0 in fixed:
                     z = coh.corestriction_cochain(group, module, sub,
                                                   np.kron(chern, m0), 2)
@@ -438,7 +439,7 @@ def twisted_motivic_klein(module, i, resolutions=None):
     supply ((B_pieces, psi)) data directly: a list of (subgroup, offset)
     target pieces, same for sources, and the integer matrix of P -> B.
     """
-    G = make_klein4()
+    G = module.group
     mk = MackeyChowKlein()
     if resolutions is None:
         res1 = coflasque_resolution(module, prune=True)
@@ -477,7 +478,7 @@ def twisted_motivic_klein(module, i, resolutions=None):
         if coker < chow:
             raise VerificationError("motivic value smaller than the Chow image")
     return TwistedChowResult(i, coker, "motivic_pipeline", cross_check=None,
-                             group_name="Klein4", module_name=module.name)
+                             group_name=G.name, module_name=module.name)
 
 
 def twisted_motivic_klein_explicit(m, i):

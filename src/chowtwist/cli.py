@@ -106,14 +106,15 @@ def _named_module(group, name):
         n = _int(name.split(":", 1)[1], "omega parameter")
         if n == 0:
             return make_trivial(group, "F2")
-        return omega_klein(n) if n > 0 else omega_negative_klein(-n)
+        return omega_klein(n, group) if n > 0 else omega_negative_klein(-n, group)
     if name.startswith("l_zeta:"):
         if not klein:
             raise UnsupportedFamilyError("l_zeta modules are defined over Klein4")
         parts = name.split(":")
         if len(parts) != 3 or parts[1] not in ZETA_NAMES:
             raise ParseError("expected l_zeta:<x|y|x+y>:<n>")
-        return l_zeta_klein(ZETA_NAMES[parts[1]], _int(parts[2], "l_zeta power"))
+        return l_zeta_klein(ZETA_NAMES[parts[1]], _int(parts[2], "l_zeta power"),
+                            group)
     if name.startswith("permutation:"):
         rest = name.split(":", 1)[1]
         if rest in SUBGROUP_NAMES and klein:
@@ -125,7 +126,8 @@ def _named_module(group, name):
         parts = name.split(":")
         if len(parts) != 3 or parts[1] not in ("A", "B", "P"):
             raise ParseError("expected counterexample:<A|B|P>:<m>")
-        data = counterexample_lattices(_int(parts[2], "counterexample parameter"))
+        data = counterexample_lattices(_int(parts[2], "counterexample parameter"),
+                                       group)
         return {"A": data.A, "B": data.B, "P": data.P}[parts[1]]
     raise ParseError("unknown module constructor %r" % name)
 

@@ -33,13 +33,11 @@ G, keyed by the subgroup's elements.  All three maps take one cochain or a
 from __future__ import annotations
 
 import os
-from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
 from . import fp, intlin
-from .errors import ResourceCapError, VerificationError
+from .errors import ResourceCapError
 from .gmodules import FiniteAbelianGroup
 
 DEFAULT_MAX_CELLS = 10 ** 6
@@ -386,58 +384,56 @@ def conjugation_cochain(G, module, src_subgroup, x, f, n):
     return _unblock(F[:, idx] @ module.act(x).T, single, module.p), tgt
 
 
-def character_chern(group, chi):
-    """Degree-2 integral cocycle of the central extension classified by a
-    character chi : group -> Q/Z (the carry cocycle of its rational lift).
+def character_generators(group):
+    """Generators of the characters chi : group -> Q/Z, each as the integer
+    vector x = |G| chi in 0..|G|-1, none in the group generated by the ones
+    before it.
 
-    chi maps element index -> Fraction in [0, 1); checked to be a
-    homomorphism into Q/Z.
+    The x are the solutions of x[a] + x[s] = x[as] (mod |G|) for every
+    element a and every s in a generating set: one modular kernel.  The
+    set is the declared generators less those the earlier ones generate,
+    so at most log2 |G| of them: with all 63 elements of an order-64 group
+    declared, the kernel would take about 0.4 GB.
     """
-    chi = {g: Fraction(v) % 1 for g, v in chi.items()}
-    for a in range(group.order):
-        for b in range(group.order):
-            if (chi[a] + chi[b] - chi[group.mul(a, b)]) % 1 != 0:
-                raise ValueError("chi is not a homomorphism to Q/Z")
-    nonid = [g for g in range(group.order) if g != group.identity]
-    out = np.zeros(len(nonid) ** 2, dtype=np.int64)
-    for idx, (a, b) in enumerate(product(nonid, repeat=2)):
-        carry = chi[a] + chi[b] - (chi[group.mul(a, b)] % 1)
-        if carry.denominator != 1:
-            raise VerificationError("carry of a Q/Z-valued character is not an integer")
-        out[idx] = int(carry)
-    return out
-
-
-def all_characters(group):
-    """All homomorphisms group -> Q/Z, found by brute force over values on
-    the declared generators (values are multiples of 1/order)."""
     n = group.order
-    gens = group.generators
+    gens, reached = [], group.trivial_subgroup()
+    for g in group.generators:
+        if g not in reached:
+            gens.append(g)
+            reached = group.generated_subgroup(gens)
+    a = np.tile(np.arange(n), len(gens))
+    s = np.array(gens, dtype=np.int64).repeat(n)
+    rows = np.zeros((len(a), n), dtype=np.int64)
+    r = np.arange(len(a))
+    # one statement per term: where a = s, the row gets 2 at a
+    rows[r, a] += 1
+    rows[r, s] += 1
+    rows[r, group.table[a, s]] -= 1
     out = []
-    for vals in product([Fraction(k, n) for k in range(n)], repeat=len(gens)):
-        chi = {group.identity: Fraction(0)}
-        ok = True
-        frontier = [group.identity]
-        assign = dict(zip(gens, vals))
-        while frontier and ok:
-            nxt = []
-            for g in frontier:
-                for s, v in assign.items():
-                    gs = group.mul(g, s)
-                    val = (chi[g] + v) % 1
-                    if gs in chi:
-                        if chi[gs] != val:
-                            ok = False
-                            break
-                    else:
-                        chi[gs] = val
-                        nxt.append(gs)
-                if not ok:
-                    break
-            frontier = nxt
-        if ok and len(chi) == n:
-            out.append(chi)
+    seen = {(0,) * n}  # the group the kept x generate
+    for v in intlin.kernel_mod(rows, [n] * len(a)):
+        x = tuple(c % n for c in v)
+        if x in seen:
+            continue
+        out.append(np.array(x, dtype=np.int64))
+        seen = {tuple((c + k * d) % n for c, d in zip(y, x))
+                for y in seen for k in range(n)}
     return out
+
+
+def character_chern(group, x):
+    """Degree-2 integral cocycle of the central extension classified by a
+    character chi : group -> Q/Z (the carry cocycle of its rational lift),
+    for x = |G| chi an integer vector indexed by element; a ValueError
+    unless chi is a homomorphism.
+    """
+    n = group.order
+    x = np.asarray(x, dtype=np.int64) % n
+    carry, rest = np.divmod(x[:, None] + x[None, :] - x[group.table], n)
+    if rest.any():
+        raise ValueError("chi is not a homomorphism to Q/Z")
+    # the identity is element 0: pairs of non-identity elements, in order
+    return carry[1:, 1:].ravel()
 
 
 class IntegralClassSpace:

@@ -522,25 +522,26 @@ def make_omega2_trivial(group):
     return syzygy(I, gens=gens)
 
 
-def omega_klein(n):
-    """Omega^n of the trivial F_2 Klein module, dimension 2n+1."""
-    G = make_klein4()
-    M = make_trivial(G, "F2")
+def omega_klein(n, group=None):
+    """Omega^n of the trivial F_2 Klein module, dimension 2n+1, over group
+    (make_klein4() by default)."""
+    M = make_trivial(make_klein4() if group is None else group, "F2")
     for _ in range(n):
         M = syzygy(M)
     return M
 
 
-def omega_negative_klein(m):
+def omega_negative_klein(m, group=None):
     """The explicit (2m+1)-dimensional Klein module isomorphic to the m-th
-    cosyzygy of the trivial F_2 module.
+    cosyzygy of the trivial F_2 module, over group (make_klein4() by
+    default).
 
     Basis e_1..e_{2m+1}: both generators fix e_1..e_{m+1};
     g(e_{m+1+i}) = e_i + e_{m+1+i} and h(e_{m+1+i}) = e_{i+1} + e_{m+1+i}.
     """
     if not (1 <= m <= 8):
         raise SizePolicyError("parameter must be between 1 and 8")
-    G = make_klein4()
+    G = make_klein4() if group is None else group
     r = 2 * m + 1
     Mg = np.eye(r, dtype=np.int64)
     Mh = np.eye(r, dtype=np.int64)
@@ -551,9 +552,9 @@ def omega_negative_klein(m):
                    check=False, name="OmegaNeg%d" % m)
 
 
-def l_zeta_klein(zeta, n):
+def l_zeta_klein(zeta, n, group=None):
     """Kernel of a cocycle representative of zeta^n on Omega^n(F_2), for the
-    Klein four group; dimension 2n.
+    Klein four group (make_klein4() by default); dimension 2n.
 
     zeta = (alpha, beta) is a nonzero vector naming the degree-1 class
     alpha*x + beta*y.  The representative of zeta^n is fixed by expanding
@@ -567,7 +568,7 @@ def l_zeta_klein(zeta, n):
         raise ValueError("zeta must be nonzero")
     if not (1 <= n <= 8):
         raise SizePolicyError("power must be between 1 and 8")
-    G = make_klein4()
+    G = make_klein4() if group is None else group
     # P_{n-1} = L^n as an F_2 module of n regular blocks; kleinres uses the
     # same element-major layout inside each block
     L = make_regular(G, "F2")

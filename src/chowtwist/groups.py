@@ -134,27 +134,18 @@ class FiniteGroup:
         return Subgroup(self, range(self.order))
 
     def subgroups(self):
-        """All subgroups, sorted by order then element set.  Cached."""
+        """All subgroups, sorted by order then element set.  Cached.
+
+        Every subgroup is a join of cyclic subgroups, so joining each newly
+        found subgroup with the cyclic ones, until nothing new appears,
+        reaches them all.
+        """
         if self._subgroups is None:
-            found = {frozenset([self.identity])}
-            # cyclic subgroups first, then close under joins
-            for a in range(self.order):
-                found.add(frozenset(self._closure([a])))
-            while True:
-                new = set()
-                for s1 in found:
-                    for s2 in found:
-                        j = frozenset(self._closure(list(s1 | s2)))
-                        if j not in found:
-                            new.add(j)
-                    # conjugates keep the list stable under relabeling
-                for s in list(found):
-                    for g in range(self.order):
-                        c = frozenset(self.mul(self.mul(g, a), self.inv(g)) for a in s)
-                        if c not in found:
-                            new.add(c)
-                if not new:
-                    break
+            cyclic = {frozenset(self._closure([a])) for a in range(self.order)}
+            found, new = set(cyclic), cyclic
+            while new:
+                new = {frozenset(self._closure(s | c))
+                       for s in new for c in cyclic if not c <= s} - found
                 found |= new
             self._subgroups = [
                 Subgroup(self, sorted(s))

@@ -176,13 +176,14 @@ class CounterexampleData:
         self.p_to_a = p_to_a        # matrix rank(A) x rank(P)
 
 
-def counterexample_lattices(m):
+def counterexample_lattices(m, group=None):
     """The explicit lattices witnessing failure of exactness for the
-    twisted Chow groups of the Klein four group, with their stated bases."""
+    twisted Chow groups of the Klein four group (make_klein4() by default),
+    with their stated bases."""
     if not (2 <= m <= 8):
         raise SizePolicyError("parameter must be between 2 and 8")
-    G = make_klein4()
-    M = omega_negative_klein(m)
+    G = make_klein4() if group is None else group
+    M = omega_negative_klein(m, G)
     r = 2 * m + 1
 
     def e(i):

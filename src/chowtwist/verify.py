@@ -83,7 +83,7 @@ def battery_cyclic(orders=None):
 # quaternion exponent gap
 
 
-def battery_quaternion(orders=None):
+def battery_quaternion():
     out = []
     G = make_quaternion(3)
     M = make_omega2_trivial(G)
@@ -259,15 +259,10 @@ def battery_regularity(ms=None):
 def _cocycle_basis(group, module, n):
     """Rows spanning ker(delta_n) over F_p."""
     bc = coh.BarComplex(group, module)
-    if n == 0:
-        fixed = module.fixed_points()
-        return bc, np.array(fixed, dtype=np.int64).reshape(len(fixed), -1)
-    dn = bc.delta_matrix(n)
-    return bc, fp.nullspace(dn, module.p)
+    return bc, fp.nullspace(bc.delta_matrix(n), module.p)
+
 
 def _coboundary_rows(bc, n, p):
-    if n == 0:
-        return np.zeros((0, bc.dim(0)), dtype=np.int64)
     return bc.delta_matrix(n - 1).T % p
 
 

@@ -1,7 +1,9 @@
 import itertools
 
+import numpy as np
 import pytest
 
+from chowtwist import cohomology as coh
 from chowtwist.gmodules import GModule
 from chowtwist.groups import FiniteGroup
 
@@ -18,6 +20,18 @@ def change_ring_mod(M, p):
 def p_rank(A, p):
     """The number of invariant factors of A divisible by p."""
     return sum(1 for d in A.invariant_factors if d % p == 0)
+
+
+def characters(G):
+    """Every character chi : G -> Q/Z as the tuple |G| chi: the group that
+    coh.character_generators(G) generates, ordered by the values on the
+    declared generators, so the trivial character comes first."""
+    n = G.order
+    out = {(0,) * n}
+    for x in coh.character_generators(G):
+        out |= {tuple(int(v) for v in (np.array(y) + k * x) % n)
+                for y in out for k in range(n)}
+    return sorted(out, key=lambda x: [x[g] for g in G.generators])
 
 
 def metacyclic(n, r, t, name):

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from chowtwist import cli
-from chowtwist.groups import FiniteGroup, group_by_name, make_cyclic
+from chowtwist.groups import FiniteGroup, group_by_name, make_cyclic, make_klein4
 
 from conftest import metacyclic, relabel
 
@@ -421,6 +421,24 @@ def test_cyclic_table_named_klein4_is_cyclic(tmp_path, capsys):
                  ["twisted-motivic", "--module", "trivialF2"],
                  ["graded", "--module", "trivialF2"]):
         assert cli.main(argv + ["--group", path]) == cli.EXIT_FAMILY, argv[0]
+
+
+def test_klein_results_name_the_parsed_group(tmp_path, capsys):
+    # the omega:, l_zeta: and counterexample: modules are built over the
+    # parsed group, and every result names it
+    V4 = FiniteGroup(make_klein4().table, name="V4")
+    for spec in ("omega:-2", "omega:2", "l_zeta:x:2", "counterexample:A:2"):
+        assert cli.parse_module(V4, spec).group is V4, spec
+    path = _save_group(tmp_path, V4, "v4")
+    for argv in (["twisted-chow", "--module", "omega:-2", "--degree", "0..2"],
+                 ["twisted-chow", "--module", "omega:2", "--degree", "1"],
+                 ["twisted-chow", "--module", "l_zeta:x:2", "--degree", "1"],
+                 ["twisted-motivic", "--module", "omega:-2", "--degree", "1"]):
+        code, out = run(capsys, argv + ["--group", path, "--format", "json"])
+        assert code == 0, argv
+        payload = json.loads(out)
+        assert payload["group"] == "V4"
+        assert [r["group"] for r in payload["results"]] == ["V4"] * len(payload["results"])
 
 
 def test_relabelled_q8_named_q8(tmp_path, capsys):

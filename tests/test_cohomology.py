@@ -1,6 +1,5 @@
 import collections
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ from chowtwist import gmodules as gm
 from chowtwist.errors import ResourceCapError
 from chowtwist.groups import make_cyclic, make_klein4, make_quaternion
 
-from conftest import change_ring_mod
+from conftest import change_ring_mod, characters
 
 
 def test_delta_squared_zero():
@@ -139,22 +138,22 @@ def test_cup_product_cocycle_and_square():
     T = gm.make_trivial(G, "F2")
     bc = coh.BarComplex(G, T)
     # the carry cocycle of the nontrivial character is x cup x: [1] on (g, g)
-    xx = coh.character_chern(G, {0: Fraction(0), 1: Fraction(1, 2)}) % 2
+    xx = coh.character_chern(G, [0, 1]) % 2
     assert not (bc.delta_matrix(2) @ xx % 2).any()
     d1 = bc.delta_matrix(1)
     # not a coboundary
     assert not any(np.array_equal(xx % 2, (d1 @ np.array([c])) % 2) for c in (0, 1))
 
 
-def test_all_characters():
+def test_character_generators():
     for G, count in ((make_cyclic(6), 6), (make_klein4(), 4),
                      (make_quaternion(3), 4)):
-        chars = coh.all_characters(G)
+        chars = characters(G)
         assert len(chars) == count
-        for chi in chars:
+        for x in chars:
             for a in range(G.order):
                 for b in range(G.order):
-                    assert (chi[a] + chi[b] - chi[G.mul(a, b)]) % 1 == 0
+                    assert (x[a] + x[b] - x[G.mul(a, b)]) % G.order == 0
 
 
 def _h2_coboundaries(G):
@@ -168,15 +167,16 @@ def test_character_chern_order():
     G = make_cyclic(4)
     d1, h2 = _h2_coboundaries(G)
     assert h2[0] == [4]
-    chi = {g: Fraction(g, 4) for g in range(4)}  # faithful: sigma^g -> g/4
-    z = coh.character_chern(G, chi)
+    z = coh.character_chern(G, [0, 1, 2, 3])  # faithful: sigma^g -> g/4
     assert chow._subgroup_structure(d1, h2, [z], 4).order == 4
+    with pytest.raises(ValueError, match="not a homomorphism"):
+        coh.character_chern(G, [0, 1, 1, 3])
 
 
 def test_class_of_exact_product_agrees_with_int64():
     G = make_cyclic(4)
     space = coh.IntegralClassSpace(G, gm.make_trivial(G), 2)
-    z = coh.character_chern(G, {g: Fraction(g, 4) for g in range(4)})
+    z = coh.character_chern(G, [0, 1, 2, 3])
     cls = space.class_of(z)
     # adding a huge coboundary keeps the class but forces the exact product
     cob = space.bc.delta_matrix(1)[:, 0].astype(object)
@@ -189,8 +189,7 @@ def test_class_of_exact_product_agrees_with_int64():
 def test_character_chern_nonfaithful():
     G = make_cyclic(4)
     d1, h2 = _h2_coboundaries(G)
-    chi = {g: Fraction(g, 2) % 1 for g in range(4)}  # factors through C2
-    z = coh.character_chern(G, chi)
+    z = coh.character_chern(G, [0, 2, 0, 2])  # factors through C2
     assert chow._subgroup_structure(d1, h2, [z], 4).order == 2
 
 
@@ -213,7 +212,7 @@ def test_subgroup_generated():
     G = make_cyclic(6)
     d1, h2 = _h2_coboundaries(G)
     assert h2[0] == [6]
-    z = coh.character_chern(G, {g: Fraction(g, 6) for g in range(6)})
+    z = coh.character_chern(G, [0, 1, 2, 3, 4, 5])
     sub = chow._subgroup_structure(d1, h2, [2 * z], 6)
     assert sub.order == 3  # the index-2 subgroup of Z/6
 

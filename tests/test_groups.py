@@ -94,6 +94,34 @@ def test_bad_tables_rejected():
         FiniteGroup([[1, 0], [0, 1]])  # identity row wrong
 
 
+def _all_pairs_subgroups(G):
+    """Reference: close the cyclic subgroups under joins of every pair and
+    under conjugation, round by round, sorted as FiniteGroup.subgroups()."""
+    found = {frozenset(G._closure([a])) for a in range(G.order)}
+    while True:
+        new = {frozenset(G._closure(list(s1 | s2))) for s1 in found for s2 in found}
+        new |= {frozenset(G.conj(g, a) for a in s)
+                for s in found for g in range(G.order)}
+        if new <= found:
+            break
+        found |= new
+    return [tuple(sorted(s)) for s in sorted(found, key=lambda s: (len(s), sorted(s)))]
+
+
+def test_subgroups_match_all_pairs_joins():
+    for G in (metacyclic(4, -1, 0, "D8"), metacyclic(8, -1, 0, "D16"),
+              metacyclic(8, 3, 0, "SD16"), make_quaternion(4),
+              abelian([2, 2, 2], "C2^3"), abelian([2, 4], "C2xC4")):
+        assert [s.elements for s in G.subgroups()] == _all_pairs_subgroups(G), G.name
+
+
+def test_elementary_abelian_subgroup_counts():
+    # Gaussian binomials: 1 + 7 + 7 + 1 subgroups of (Z/2)^3 and
+    # 1 + 15 + 35 + 15 + 1 of (Z/2)^4
+    assert len(abelian([2, 2, 2], "C2^3").subgroups()) == 16
+    assert len(abelian([2, 2, 2, 2], "C2^4").subgroups()) == 67
+
+
 def test_subgroup_cosets():
     G = make_quaternion(3)
     H = G.generated_subgroup([1])  # <x>, order 4
