@@ -19,7 +19,7 @@ from . import cohomology as coh
 from . import f2, fp, intlin, kleinres
 from .errors import UnsupportedFamilyError, VerificationError
 from .gmodules import FiniteAbelianGroup, restrict
-from .groups import make_klein4
+from .groups import double_coset_index, make_klein4
 from .lattices import coflasque_resolution, counterexample_lattices
 
 
@@ -402,29 +402,16 @@ def _double_coset_coefficients(G, K, H, block):
     block is the matrix in coset bases (rows: cosets of H, cols: cosets of
     K); the coefficient of the class of gH is constant on K-orbits, so it
     is read off the identity-coset column.  Returns total coefficient sums
-    per double coset (for the Klein group all conjugations are trivial, so
-    only the sum matters downstream).
+    per double coset KgH, in the order of their least elements (for the
+    Klein group all conjugations are trivial, so only the sum matters
+    downstream).
     """
-    repsH = H.left_coset_reps()
-    coset_of_H = {}
-    for j, t in enumerate(repsH):
-        for h in H.elements:
-            coset_of_H[G.mul(t, h)] = j
-    # group the cosets of H into K-orbits
-    seen = set()
-    coeffs = []
-    for j, t in enumerate(repsH):
-        if j in seen:
-            continue
-        orbit = set()
-        for k in K.elements:
-            orbit.add(coset_of_H[G.mul(k, t)])
-        seen |= orbit
-        vals = {int(block[jj, 0]) for jj in orbit}
-        if len(vals) != 1:
-            raise VerificationError("map is not equivariant on a K-orbit")
-        coeffs.append(vals.pop())
-    return coeffs
+    _, coset_of = H.cosets()
+    reps, double_of = double_coset_index(G, K, H)
+    coeff = block[coset_of, 0]  # of the coset of each element
+    if (coeff != coeff[reps][double_of]).any():
+        raise VerificationError("map is not equivariant on a K-orbit")
+    return coeff[reps].tolist()
 
 
 def twisted_motivic_klein(module, i, resolutions=None):

@@ -336,10 +336,7 @@ def corestriction_cochain(G, module, subgroup, fH, n):
     The transfer is then one gather and one product with t_i^{-1} per coset.
     """
     def build():
-        reps = np.array(subgroup.right_coset_reps())
-        els = np.array(subgroup.elements)
-        coset = np.empty(G.order, dtype=np.int64)
-        coset[G.table[np.ix_(els, reps)]] = np.arange(len(reps))
+        reps, coset = subgroup.cosets(right=True)
         tg = G.table[reps]  # t_i g
         sigma = coset[tg]
         posH, qH = _positions(G, subgroup.elements)

@@ -9,6 +9,7 @@ property is then checked exhaustively.
 from __future__ import annotations
 
 import json
+import math
 import random
 
 import numpy as np
@@ -249,17 +250,12 @@ def make_trivial(group, ring=RING_Z, rank=1):
 
 def make_permutation(group, subgroup, ring=RING_Z):
     """Permutation module on the left cosets G/H."""
-    reps = subgroup.left_coset_reps()
-    coset_of = {}
-    for i, t in enumerate(reps):
-        for h in subgroup.elements:
-            coset_of[group.mul(t, h)] = i
+    reps, coset_of = subgroup.cosets()
     k = len(reps)
     gens = {}
     for g in group.generators:
         m = np.zeros((k, k), dtype=np.int64)
-        for i, t in enumerate(reps):
-            m[coset_of[group.mul(g, t)], i] = 1
+        m[coset_of[group.table[g, reps]], np.arange(k)] = 1
         gens[g] = m
     return GModule(group, ring, k, gens, check=False,
                    name="%s[%s/H%d]" % (ring, group.name, subgroup.order))
@@ -427,7 +423,7 @@ def permutation_sum(M, pieces, ring=RING_Z, name="P"):
     perms = [make_permutation(G, H, ring) for H, _ in pieces]
     P = make_trivial(G, ring, rank=0).direct_sum(*perms)
     P.name = name
-    cols = [M.apply(t, w) for H, w in pieces for t in H.left_coset_reps()]
+    cols = [M.apply(t, w) for H, w in pieces for t in H.cosets()[0].tolist()]
     S = np.array(cols, dtype=np.int64).reshape(len(cols), M.rank).T
     return P, S % M.p if M.p else S
 
@@ -466,13 +462,11 @@ def syzygy(M, gens=None):
     minimal syzygy.
     """
     if gens is None and M.p:
-        # minimal mode needs projective = free, so insist on a p-group
-        for g in range(M.group.order):
-            o = M.group.element_order(g)
-            while o % M.p == 0:
-                o //= M.p
-            if o != 1:
-                raise ValueError("minimal syzygy over F_p needs a p-group")
+        # minimal mode needs projective = free, so insist on a p-group:
+        # every element order divides p^N for N the bit length of |G|
+        N = M.group.order.bit_length()
+        if any(M.p ** N % o for o in M.group.element_orders.tolist()):
+            raise ValueError("minimal syzygy over F_p needs a p-group")
         gens = _radical_complement_basis(M)
     elif gens is None:
         gens = _module_generators_z(M)
@@ -561,8 +555,6 @@ def l_zeta_klein(zeta, n, group=None):
     the n-th power binomially on the minimal resolution: the functional
     sending basis slot (p, q) to C(n, p) alpha^p beta^q mod 2.
     """
-    import math
-
     alpha, beta = int(zeta[0]) % 2, int(zeta[1]) % 2
     if alpha == 0 and beta == 0:
         raise ValueError("zeta must be nonzero")

@@ -1,8 +1,9 @@
 """Concrete finite groups as Cayley tables, with subgroup combinatorics.
 
 Elements are integer indices into an order x order multiplication table.
-Everything downstream (cohomology, transfers, coset decompositions) works by
-exhaustive enumeration, so group order is capped at 64.
+Closures, cosets, double cosets and element orders are computed here and
+nowhere else, each by numpy arithmetic on that table.  Group order is capped
+at 64.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ class FiniteGroup:
 
     table[i][j] is the index of the product (element i) * (element j).
     Element 0 is the identity.  Construction checks that, the Latin-square
-    structure, associativity and that the declared generators reach the
-    whole group.
+    structure, associativity, that the labels are distinct and that the
+    declared generators reach the whole group.
     """
 
     identity = 0
@@ -35,12 +36,11 @@ class FiniteGroup:
             raise ValueError("table must be square")
         if n > MAX_ORDER:
             raise SizePolicyError("group order %d exceeds the cap of %d" % (n, MAX_ORDER))
-        if not (np.all(t[0] == np.arange(n)) and np.all(t[:, 0] == np.arange(n))):
-            raise ValueError("identity row/column is not the identity permutation")
         ar = np.arange(n)
-        for i in range(n):
-            if not (np.array_equal(np.sort(t[i]), ar) and np.array_equal(np.sort(t[:, i]), ar)):
-                raise ValueError("table is not a Latin square")
+        if not (np.all(t[0] == ar) and np.all(t[:, 0] == ar)):
+            raise ValueError("identity row/column is not the identity permutation")
+        if not (np.all(np.sort(t, axis=1) == ar) and np.all(np.sort(t, axis=0) == ar[:, None])):
+            raise ValueError("table is not a Latin square")
         # (a*b)*c == a*(b*c) for all triples: t[t][a,b,c] vs t[:,t][a,b,c]
         if not np.array_equal(t[t], t[:, t]):
             raise ValueError("table is not associative")
@@ -50,12 +50,15 @@ class FiniteGroup:
         self.labels = list(labels) if labels else ["e%d" % i for i in range(n)]
         if len(self.labels) != n:
             raise ValueError("need one label per element")
+        if len(set(self.labels)) != n:
+            raise ValueError("element labels must be distinct")
         self.inverse = np.argmax(t == 0, axis=1)  # the column of each row's 0
         self.inverse.setflags(write=False)
+        self._orders = None
         if generators is None:
             generators = list(range(1, n)) or [0]
         self.generators = self._indices(generators)
-        if self._closure(self.generators) != set(range(n)):
+        if not self._closure(self.generators).all():
             raise ValueError("declared generators do not generate the group")
         self.name = name or "G%d" % n
         self._subgroups = None
@@ -72,16 +75,26 @@ class FiniteGroup:
         """g a g^{-1}."""
         return self.mul(self.mul(g, a), self.inv(g))
 
+    @property
+    def element_orders(self):
+        """The order of every element, an int array found once by raising
+        all elements to successive powers together."""
+        if self._orders is None:
+            ar = np.arange(self.order)
+            orders, power, k = np.zeros(self.order, dtype=np.int64), ar, 1
+            while not orders.all():
+                orders[(power == self.identity) & (orders == 0)] = k
+                power, k = self.table[power, ar], k + 1
+            orders.setflags(write=False)
+            self._orders = orders
+        return self._orders
+
     def element_order(self, a):
-        k, x = 1, a
-        while x != self.identity:
-            x = self.mul(x, a)
-            k += 1
-        return k
+        return int(self.element_orders[a])
 
     def cyclic_generator(self):
         """The first element of order |G|; a ValueError if there is none."""
-        return [self.element_order(a) for a in range(self.order)].index(self.order)
+        return self.element_orders.tolist().index(self.order)
 
     def family(self):
         """The family of G, read from the element orders alone: "cyclic",
@@ -89,30 +102,28 @@ class FiniteGroup:
         with one element of order 2 has one subgroup of order 2, so it is
         cyclic or generalized quaternion (Cartan-Eilenberg, Homological
         Algebra, XII.11)."""
-        n = self.order
-        orders = [self.element_order(a) for a in range(n)]
-        if n in orders:
+        n, orders = self.order, self.element_orders
+        if (orders == n).any():
             return "cyclic"
         if n == 4:
             return "klein"
-        if n & (n - 1) == 0 and orders.count(2) == 1:
+        if n & (n - 1) == 0 and (orders == 2).sum() == 1:
             return "quaternion"
         return None
 
     def _closure(self, seed):
-        seen = {self.identity}
-        seen.update(seed)
-        frontier = list(seen)
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for b in list(seen):
-                    for c in (self.mul(a, b), self.mul(b, a)):
-                        if c not in seen:
-                            seen.add(c)
-                            nxt.append(c)
-            frontier = nxt
-        return seen
+        """Boolean mask of the subgroup generated by seed: the set grows by
+        all products of its elements until it stops changing."""
+        mask = np.zeros(self.order, dtype=bool)
+        mask[self.identity] = True
+        mask[list(seed)] = True
+        while True:
+            els = np.flatnonzero(mask)
+            grown = np.zeros_like(mask)
+            grown[self.table[els[:, None], els]] = True
+            if grown.sum() == len(els):  # grown contains mask, as e is in it
+                return mask
+            mask = grown
 
     def _indices(self, elements):
         """The elements as ints; a ValueError unless each is in 0..order-1."""
@@ -125,7 +136,7 @@ class FiniteGroup:
         return Subgroup(self, elements)
 
     def generated_subgroup(self, seed):
-        return Subgroup(self, sorted(self._closure(self._indices(seed))))
+        return Subgroup(self, np.flatnonzero(self._closure(self._indices(seed))))
 
     def trivial_subgroup(self):
         return Subgroup(self, [self.identity])
@@ -136,21 +147,24 @@ class FiniteGroup:
     def subgroups(self):
         """All subgroups, sorted by order then element set.  Cached.
 
-        Every subgroup is a join of cyclic subgroups, so joining each newly
-        found subgroup with the cyclic ones, until nothing new appears,
-        reaches them all.
+        Every subgroup is reached from the trivial one by joining one
+        element at a time.  The join of H with a depends only on the coset
+        aH, so each newly found H is joined with its coset representatives
+        until nothing new appears.
         """
         if self._subgroups is None:
-            cyclic = {frozenset(self._closure([a])) for a in range(self.order)}
-            found, new = set(cyclic), cyclic
+            trivial = self.trivial_subgroup()
+            found, new = {trivial.elements: trivial}, [trivial]
             while new:
-                new = {frozenset(self._closure(s | c))
-                       for s in new for c in cyclic if not c <= s} - found
-                found |= new
-            self._subgroups = [
-                Subgroup(self, sorted(s))
-                for s in sorted(found, key=lambda s: (len(s), sorted(s)))
-            ]
+                grown = []
+                for H in new:
+                    for a in H.cosets()[0][1:].tolist():  # not H itself
+                        els = tuple(np.flatnonzero(self._closure(H.elements + (a,))).tolist())
+                        if els not in found:
+                            found[els] = Subgroup(self, els)
+                            grown.append(found[els])
+                new = grown
+            self._subgroups = sorted(found.values(), key=lambda H: (H.order, H.elements))
         return self._subgroups
 
     def to_json(self):
@@ -184,22 +198,25 @@ class Subgroup:
         self.parent = parent
         els = sorted(set(parent._indices(elements)))
         self.elements = tuple(els)
-        s = set(els)
-        if parent.identity not in s:
+        a = np.array(els, dtype=np.int64)
+        self._mask = np.zeros(parent.order, dtype=bool)
+        self._mask[a] = True
+        if not self._mask[parent.identity]:
             raise ValueError("subgroup must contain the identity")
-        for a in els:
-            if parent.inv(a) not in s:
-                raise ValueError("subgroup not closed under inverse")
-            for b in els:
-                if parent.mul(a, b) not in s:
-                    raise ValueError("subgroup not closed under multiplication")
+        products = self._mask[parent.table[a[:, None], a]]
+        if not products.all():
+            # an element whose inverse is missing has a power, and so a
+            # product in its row, outside the set: report the first row
+            first = els[int(np.argmin(products.all(axis=1)))]
+            raise ValueError("subgroup not closed under %s" % (
+                "multiplication" if self._mask[parent.inverse[first]] else "inverse"))
         self.order = len(els)
         self.index = parent.order // self.order
-        self._pos = {e: i for i, e in enumerate(els)}
         self._as_group = None
+        self._cosets = {}
 
     def __contains__(self, e):
-        return e in self._pos
+        return 0 <= e < len(self._mask) and bool(self._mask[e])
 
     def __eq__(self, other):
         return isinstance(other, Subgroup) and self.parent is other.parent and self.elements == other.elements
@@ -217,73 +234,75 @@ class Subgroup:
         if self._as_group is not None:
             return self._as_group
         G = self.parent
-        els = self.elements
-        pos = self._pos
+        els = np.array(self.elements)
         n = self.order
-        table = [[pos[G.mul(els[i], els[j])] for j in range(n)] for i in range(n)]
-        # the first generating element, else the first generating pair, else
-        # every element
-        seeds = itertools.chain(itertools.combinations(range(n), 1),
-                                itertools.combinations(range(n), 2))
-        gens = next((list(s) for s in seeds
-                     if len(G._closure([els[a] for a in s])) == n), None)
+        pos = np.zeros(G.order, dtype=np.int64)
+        pos[els] = np.arange(n)
+        # the first element of order n, else the first generating pair,
+        # else every element
+        orders = G.element_orders[els].tolist()
+        gens = ([orders.index(n)] if n in orders else
+                next((list(s) for s in itertools.combinations(range(n), 2)
+                      if G._closure(els[list(s)]).sum() == n), None))
         H = FiniteGroup(
-            table,
-            labels=[G.labels[e] for e in els],
+            pos[G.table[els[:, None], els]],
+            labels=[G.labels[e] for e in self.elements],
             generators=gens,
             name="%s_sub%d" % (G.name, self.order),
         )
-        self._as_group = (H, els)
+        self._as_group = (H, self.elements)
         return self._as_group
 
     def conjugate(self, g):
         G = self.parent
-        return Subgroup(G, [G.conj(g, a) for a in self.elements])
+        return Subgroup(G, G.table[G.table[g, list(self.elements)], G.inverse[g]])
 
-    def right_coset_reps(self):
-        """Representatives of H\\G (right cosets Hg), minimal index first."""
-        G = self.parent
-        reps, seen = [], set()
-        for g in range(G.order):
-            if g in seen:
-                continue
-            reps.append(g)
-            for h in self.elements:
-                seen.add(G.mul(h, g))
-        return reps
-
-    def left_coset_reps(self):
-        """Representatives of G/H (left cosets gH), minimal index first."""
-        G = self.parent
-        reps, seen = [], set()
-        for g in range(G.order):
-            if g in seen:
-                continue
-            reps.append(g)
-            for h in self.elements:
-                seen.add(G.mul(g, h))
-        return reps
+    def cosets(self, right=False):
+        """(reps, coset_of) for the left cosets gH, or the right cosets Hg
+        when right: reps holds the least element of each coset in increasing
+        order and coset_of[g] the place in reps of g's coset.  Cached."""
+        if right not in self._cosets:
+            t, els = self.parent.table, list(self.elements)
+            self._cosets[right] = _classes(t[els, :].min(axis=0) if right
+                                           else t[:, els].min(axis=1))
+        return self._cosets[right]
 
     def __repr__(self):
         return "Subgroup(order=%d, elements=%s)" % (self.order, list(self.elements))
 
 
+def _classes(least):
+    """(reps, class_of) of a partition of G given by the least element of
+    each element's class: the reps in increasing order, and the place in
+    reps of each element's class."""
+    first = least == np.arange(len(least))
+    reps, class_of = np.flatnonzero(first), (np.cumsum(first) - 1)[least]
+    reps.setflags(write=False)
+    class_of.setflags(write=False)
+    return reps, class_of
+
+
+def double_coset_index(G, K, H):
+    """(reps, double_of) for K\\G/H: reps holds the least element of each
+    KgH in increasing order and double_of[g] the place in reps of KgH.
+    The least element of KgH is the least of the left H-coset
+    representatives of the kg."""
+    reps, coset_of = H.cosets()
+    return _classes(reps[coset_of[G.table[list(K.elements), :]]].min(axis=0))
+
+
 def double_cosets(G, K, H):
     """K\\G/H decomposition: list of (representative, K ∩ rep·H·rep^{-1}).
 
-    Representatives are minimal element indices within their class.
+    Representatives are the least elements of their double cosets.
     """
-    out, seen = [], set()
-    for g in range(G.order):
-        if g in seen:
-            continue
-        for k in K.elements:
-            kg = G.mul(k, g)
-            for h in H.elements:
-                seen.add(G.mul(kg, h))
-        inter = [a for a in K.elements if G.conj(G.inv(g), a) in H]
-        out.append((g, Subgroup(G, inter)))
-    return out
+    reps, _ = double_coset_index(G, K, H)
+    # g H g^{-1} for every representative g, marked in one mask, then met with K
+    conj = G.table[G.table[reps[:, None], list(H.elements)], G.inverse[reps][:, None]]
+    masks = np.zeros((len(reps), G.order), dtype=bool)
+    masks[np.arange(len(reps))[:, None], conj] = True
+    masks &= K._mask
+    return [(g, Subgroup(G, np.flatnonzero(m))) for g, m in zip(reps.tolist(), masks)]
 
 
 def make_cyclic(m):

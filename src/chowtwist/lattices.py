@@ -14,7 +14,7 @@ from . import fp, intlin
 from .errors import SizePolicyError, VerificationError
 from .gmodules import (FiniteAbelianGroup, _submodule_from_kernel,
                        omega_negative_klein, permutation_sum)
-from .groups import make_klein4
+from .groups import double_coset_index, make_klein4
 
 
 def h1_lattice(module, subgroup=None):
@@ -139,20 +139,11 @@ def coflasque_resolution(M, prune=False):
 
 def _orbit_sums(M, S, w, T):
     """Images under gS -> g.w of the T-orbit sums of the cosets G/S, which
-    span Z[G/S]^T."""
-    G = M.group
-    seen, out = set(), []
-    for g in range(G.order):
-        if g in seen:
-            continue
-        v = 0
-        for t in T.elements:  # the orbit of gS: one tg per new coset tgS
-            x = G.mul(t, g)
-            if x not in seen:
-                seen.update(G.mul(x, s) for s in S.elements)
-                v = v + M.apply(x, w)
-        out.append([int(c) for c in v])
-    return out
+    span Z[G/S]^T: one sum per double coset TgS."""
+    reps, _ = S.cosets()
+    dreps, double_of = double_coset_index(M.group, T, S)
+    in_orbit = double_of[reps] == np.arange(len(dreps))[:, None]
+    return (in_orbit.astype(np.int64) @ [M.apply(t, w) for t in reps.tolist()]).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from .gmodules import (_submodule_from_kernel, make_augmentation_quotient,
                        make_klein4, make_regular, make_sign_cyclic, make_trivial,
                        make_omega2_trivial, omega_klein, omega_negative_klein,
                        random_cyclic_module, random_lattice, restrict)
-from .groups import make_cyclic, make_quaternion
+from .groups import double_cosets, make_cyclic, make_quaternion
 from .lattices import coflasque_resolution, counterexample_lattices, is_coflasque
 
 
@@ -310,8 +310,6 @@ def _subgroup_inside(restricted, small):
 def double_coset_checks(G, modules, max_degree=2):
     """Mackey double-coset formula res_K cor_H = sum over K\\G/H of
     cor c_g res, verified modulo coboundaries on a cocycle basis."""
-    from .groups import double_cosets
-
     out = []
     for M in modules:
         p = M.p

@@ -237,6 +237,18 @@ def test_malformed_group_file_exit_2(defect, tmp_path, capsys):
     assert "malformed group file" in capsys.readouterr().err
 
 
+def test_group_file_with_a_repeated_label_exit_2(tmp_path, capsys):
+    """With two elements named "g", a module file's action on "g" would
+    land on whichever element the name maps to last, so the group file is
+    refused."""
+    desc = dict(make_klein4().to_json(), labels=["1", "g", "g", "gh"])
+    path = tmp_path / "v4.json"
+    path.write_text(json.dumps(desc))
+    assert cli.main(["cohomology", "--group", str(path), "--module", "trivialF2",
+                     "--degree", "1"]) == cli.EXIT_PARSE
+    assert "element labels must be distinct" in capsys.readouterr().err
+
+
 # a C4 sign-module file with its action replaced, and what stderr names
 _BAD_ACTIONS = {
     "wrong_shape": (lambda lab: {lab: [[1, 0], [0, 1]]}, "wrong shape"),

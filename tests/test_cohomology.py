@@ -289,8 +289,11 @@ def _ref_corestriction(G, module, subgroup, fH, n, skip=None):
     """The transfer summed over every coset but the one numbered skip."""
     MH, H, embed = gm.restrict(module, subgroup)
     inv_embed = {e: j for j, e in enumerate(embed)}
-    reps = subgroup.right_coset_reps()
-    coset_of = {G.mul(h, t): i for i, t in enumerate(reps) for h in subgroup.elements}
+    reps, coset_of = [], {}  # the right cosets Ht, each met first at its least t
+    for t in range(G.order):
+        if t not in coset_of:
+            coset_of.update((G.mul(h, t), len(reps)) for h in subgroup.elements)
+            reps.append(t)
     bcG = coh.BarComplex(G, module)
     bcH = coh.BarComplex(H, MH)
     r = module.rank

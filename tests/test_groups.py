@@ -1,11 +1,13 @@
 import json
 import random
+import time
 
 import pytest
 
 from chowtwist.errors import SizePolicyError
-from chowtwist.groups import (FiniteGroup, double_cosets, group_by_name,
-                              make_cyclic, make_klein4, make_quaternion)
+from chowtwist.groups import (FiniteGroup, double_coset_index, double_cosets,
+                              group_by_name, make_cyclic, make_klein4,
+                              make_quaternion)
 
 from conftest import abelian, metacyclic, relabel
 
@@ -94,12 +96,30 @@ def test_bad_tables_rejected():
         FiniteGroup([[1, 0], [0, 1]])  # identity row wrong
 
 
+def _ref_closure(G, seed):
+    """Reference: the subgroup generated by seed, as a set, by multiplying
+    each new element with every element found so far on both sides."""
+    seen = {G.identity}
+    seen.update(seed)
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b in list(seen):
+                for c in (G.mul(a, b), G.mul(b, a)):
+                    if c not in seen:
+                        seen.add(c)
+                        nxt.append(c)
+        frontier = nxt
+    return seen
+
+
 def _all_pairs_subgroups(G):
     """Reference: close the cyclic subgroups under joins of every pair and
     under conjugation, round by round, sorted as FiniteGroup.subgroups()."""
-    found = {frozenset(G._closure([a])) for a in range(G.order)}
+    found = {frozenset(_ref_closure(G, [a])) for a in range(G.order)}
     while True:
-        new = {frozenset(G._closure(list(s1 | s2))) for s1 in found for s2 in found}
+        new = {frozenset(_ref_closure(G, s1 | s2)) for s1 in found for s2 in found}
         new |= {frozenset(G.conj(g, a) for a in s)
                 for s in found for g in range(G.order)}
         if new <= found:
@@ -116,20 +136,75 @@ def test_subgroups_match_all_pairs_joins():
 
 
 def test_elementary_abelian_subgroup_counts():
-    # Gaussian binomials: 1 + 7 + 7 + 1 subgroups of (Z/2)^3 and
-    # 1 + 15 + 35 + 15 + 1 of (Z/2)^4
+    # Gaussian binomials: 1 + 7 + 7 + 1 subgroups of (Z/2)^3,
+    # 1 + 15 + 35 + 15 + 1 of (Z/2)^4 and 1 + 63 + 651 + 1395 + 651 + 63 + 1
+    # of (Z/2)^6
     assert len(abelian([2, 2, 2], "C2^3").subgroups()) == 16
     assert len(abelian([2, 2, 2, 2], "C2^4").subgroups()) == 67
+    start = time.perf_counter()
+    orders = [H.order for H in abelian([2] * 6, "C2^6").subgroups()]
+    assert time.perf_counter() - start < 15
+    assert len(orders) == 2825
+    assert [orders.count(2 ** k) for k in range(7)] == [1, 63, 651, 1395, 651, 63, 1]
+
+
+def test_quaternion64_subgroups_quickly():
+    G = make_quaternion(6)
+    start = time.perf_counter()
+    assert len(G.subgroups()) == 37
+    assert time.perf_counter() - start < 0.3
+
+
+# the groups whose every subgroup pair the coset indices are compared on
+COSET_GROUPS = (make_quaternion(4), metacyclic(8, -1, 0, "D16"),
+                metacyclic(8, 3, 0, "SD16"), abelian([2, 4], "C2xC4"))
+
+
+def _ref_cosets(G, H, right):
+    """Reference: the least element of each coset, met in increasing order,
+    and the number of the coset of every element."""
+    reps, coset_of = [], {}
+    for g in range(G.order):
+        if g not in coset_of:
+            coset_of.update((G.mul(h, g) if right else G.mul(g, h), len(reps))
+                            for h in H.elements)
+            reps.append(g)
+    return reps, [coset_of[g] for g in range(G.order)]
+
+
+def _ref_double_cosets(G, K, H):
+    """Reference: the least element of each KgH, met in increasing order,
+    with K meet gHg^-1, and the number of the double coset of every
+    element."""
+    out, double_of = [], {}
+    for g in range(G.order):
+        if g not in double_of:
+            double_of.update((G.mul(G.mul(k, g), h), len(out))
+                             for k in K.elements for h in H.elements)
+            out.append((g, {a for a in K.elements if G.conj(G.inv(g), a) in H.elements}))
+    return out, [double_of[g] for g in range(G.order)]
 
 
 def test_subgroup_cosets():
     G = make_quaternion(3)
     H = G.generated_subgroup([1])  # <x>, order 4
     assert H.order == 4 and H.index == 2
-    reps = H.right_coset_reps()
-    assert len(reps) == 2 and reps[0] == 0
-    seen = {G.mul(h, t) for t in reps for h in H.elements}
-    assert seen == set(range(8))
+    reps, coset_of = H.cosets(right=True)
+    assert reps.tolist() == [0, 4] and coset_of.tolist() == [0] * 4 + [1] * 4
+    for G in COSET_GROUPS:
+        for H in G.subgroups():
+            for right in (False, True):
+                reps, coset_of = H.cosets(right)
+                assert (reps.tolist(), coset_of.tolist()) == _ref_cosets(G, H, right)
+
+
+def test_subgroup_rejects_sets_that_are_not_closed():
+    with pytest.raises(ValueError, match="identity"):
+        make_cyclic(4).subgroup([1, 3])
+    with pytest.raises(ValueError, match="inverse"):
+        make_cyclic(4).subgroup([0, 1, 2])  # 1 has inverse 3
+    with pytest.raises(ValueError, match="multiplication"):
+        make_klein4().subgroup([0, 1, 2])  # 1 * 2 = 3
 
 
 def test_as_group_roundtrip():
@@ -155,6 +230,14 @@ def test_as_group_small_generating_set():
 
 
 def test_double_cosets_partition():
+    for G in COSET_GROUPS:
+        for K in G.subgroups():
+            for H in G.subgroups():
+                ref, ref_of = _ref_double_cosets(G, K, H)
+                assert [(g, set(inter.elements)) for g, inter in double_cosets(G, K, H)] == ref
+                reps, double_of = double_coset_index(G, K, H)
+                assert reps.tolist() == [g for g, _ in ref]
+                assert double_of.tolist() == ref_of
     G = make_quaternion(3)
     K = G.generated_subgroup([4])
     H = G.generated_subgroup([1])

@@ -139,6 +139,24 @@ def _package_trees():
                 yield name, ast.parse(fh.read(), name)
 
 
+def test_package_imports_only_the_standard_library_and_numpy():
+    """The runtime is Python + numpy: every import in src/chowtwist names a
+    standard-library module, numpy or the package itself."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "chowtwist"}
+    found = []
+    for name, tree in _package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                roots = [node.module.split(".")[0]]
+            else:
+                continue
+            found += ["%s:%d %s" % (name, node.lineno, root)
+                      for root in roots if root not in allowed]
+    assert not found, "imports outside stdlib and numpy: " + ", ".join(found)
+
+
 def test_no_assert_statements_in_the_package():
     """Checks must survive python -O, which strips every assert."""
     found = []
