@@ -186,16 +186,19 @@ def _transfer_images(group, module, *subgroup_lists):
     that all characters give.
 
     Over Z the structure comes from invariant factors of delta_1 next to
-    the raw cocycles (_subgroup_structure), with no transform.  Over F_p
-    the image is (Z/p)^d, d its dimension modulo the coboundaries.
+    the raw cocycles (_subgroup_structure), with no transform; the rank of
+    delta_1 comes from exactness, and only the cocycles of all the lists
+    together are checked, as they hold those of every shorter prefix.
+    Over F_p the image is (Z/p)^d, d its dimension modulo the coboundaries.
     """
     p = module.p
-    d1 = coh.BarComplex(group, module).delta_matrix(1)
+    bc = coh.BarComplex(group, module)
+    d1 = bc.delta_matrix(1)
     if p:
         span = fp.Span(d1.shape[0], p, d1.T)
         coboundaries = span.rank
-    h2 = None
     cocycles = []
+    ends = []  # the number of cocycles once each list is in
     images = []
     for subgroups in subgroup_lists:
         for sub in subgroups:
@@ -214,14 +217,17 @@ def _transfer_images(group, module, *subgroup_lists):
                         cocycles.append(z)
         if p:
             images.append(FiniteAbelianGroup([p] * (span.rank - coboundaries), 0))
-            continue
-        if cocycles and h2 is None:
-            h2 = intlin.invariant_factors(d1, group.order)
-        images.append(_subgroup_structure(d1, h2, cocycles, group.order))
-    return images
+        else:
+            ends.append(len(cocycles))
+    if p:
+        return images
+    h2 = intlin.invariant_factors(d1, group.order, bc.rank(1)) if cocycles else None
+    last = _subgroup_structure(d1, h2, cocycles, group.order)
+    return [_subgroup_structure(d1, h2, cocycles[:end], group.order, check=False)
+            for end in ends[:-1]] + [last]
 
 
-def _subgroup_structure(d1, h2, cocycles, exponent):
+def _subgroup_structure(d1, h2, cocycles, exponent, check=True):
     """Structure of the subgroup C of H^2 = tors coker d1 generated by the
     classes of the given cocycles, from invariant factors alone; exponent
     kills H^2, and h2 is invariant_factors(d1, exponent).
@@ -233,8 +239,10 @@ def _subgroup_structure(d1, h2, cocycles, exponent):
     with m the product of their p^j.  A prime needs no further call once
     s_j is 0 by definition (p^j kills H^2_p), or once p^j H^2_p, and so
     p^j C_p, has at most one cyclic factor, for then the order p^(s_j) of
-    p^j C_p fixes the rest.  The first call, at m = 1, also checks that
-    every column of Z is a cocycle.
+    p^j C_p fixes the rest.  With check, the first call, at m = 1, finds
+    the rank of [d1 | Z] by elimination and so checks that every column of
+    Z is a cocycle; every other call takes it to be that of d1, which holds
+    once the columns are cocycles.
     """
     if not cocycles:
         return FiniteAbelianGroup([], 0)
@@ -248,7 +256,8 @@ def _subgroup_structure(d1, h2, cocycles, exponent):
     j = 0
     while True:
         m = math.prod(p ** j for p in open_primes)
-        factors, r = intlin.invariant_factors(np.hstack([d1, m * Z]), exponent)
+        factors, r = intlin.invariant_factors(np.hstack([d1, m * Z]), exponent,
+                                              None if check and not j else rank)
         if r != rank:
             raise VerificationError("a transfer is not a cocycle: rank [d1 | Z]"
                                     " is %d, rank d1 is %d" % (r, rank))

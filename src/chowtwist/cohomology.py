@@ -16,8 +16,12 @@ VI.3).  Every Tate group is finite (killed by |G|), so over Z it equals the
 torsion of the cokernel of the map into its degree, i.e. the nontrivial
 invariant factors of that matrix; the map out never has to be built.  H^n
 and H_n for n > 0 are Tate groups; H^0 and H_0 are the ones with a free part.
-The 2-periodic resolution of a cyclic group and the Klein resolution in
-kleinres go through the same ker/im routine.
+For a lattice M the complete complex is exact over Q, as |G| kills every
+Tate group (Brown, III.10 and VI.3), so the rank of each map follows from
+rank M^G and the dimensions alone (BarComplex.rank): the invariant factors
+take it as given, and only their p-adic eliminations run.  The 2-periodic
+resolution of a cyclic group and the Klein resolution in kleinres go
+through the same ker/im routine.
 
 Restriction, corestriction (the chain-level transfer) and conjugation move
 cochains between G and a subgroup, taken as subgroup.as_group().  Each map
@@ -134,6 +138,22 @@ class BarComplex:
             return self.module.trace_matrix()
         return self._face_matrix(1, chains=i == -2)
 
+    def rank(self, i):
+        """Rank over Q of complete_map(i), for a lattice: the complete
+        complex is exact over Q, so with f = rank M^G, rank delta_0 = r - f,
+        rank delta_n = dim(n) - rank delta_(n-1), the trace has rank f and
+        rank d_n = rank delta_(n-1).  No matrix is built."""
+        if self.module.p:
+            raise ValueError("ranks from exactness need a lattice, not F_%d"
+                             % self.module.p)
+        f = _fixed_rank(self.module)
+        if i == -1:
+            return f
+        rank = self.r - f
+        for n in range(1, i + 1 if i >= 0 else -1 - i):
+            rank = self.dim(n) - rank
+        return rank
+
     def boundary_matrix(self, n):
         """Matrix of the homology boundary d_n : C_n -> C_{n-1} for
         M tensored over the group ring with the bar resolution.
@@ -178,19 +198,29 @@ class CohomologyResult:
         return out
 
 
-def _finite_homology(degree, module, dim, d_in, d_out):
+def _fixed_rank(module):
+    """rank M^G of a lattice M, as the mean over G of the character: the
+    trace of sum_g rho(g), over |G|, is the dimension of the invariants over
+    Q, with no elimination."""
+    return int(np.trace(module.trace_matrix())) // module.group.order
+
+
+def _finite_homology(degree, module, dim, d_in, d_out, rank_in=None):
     """ker(d_out)/im(d_in) at a degree where that group is finite.
 
     d_in and d_out build the maps into and out of the degree (None for a
     zero map).  Over F_p the dimension is dim - rank - rank.  Over Z the
-    group is the torsion of coker(d_in), so d_out is never built.
+    group is the torsion of coker(d_in), so d_out is never built, and
+    rank_in returns the rank of d_in over Q (read over Z only), which spares
+    the elimination that would find it.
     """
     if module.p:
         ranks = [fp.rank(d(), module.p) for d in (d_out, d_in) if d is not None]
         return CohomologyResult(degree, module.ring, dim=dim - sum(ranks))
     factors = []
     if d_in is not None:
-        factors, _ = intlin.invariant_factors(d_in(), module.group.order)
+        factors, _ = intlin.invariant_factors(d_in(), module.group.order,
+                                              rank_in())
     return CohomologyResult(degree, "Z", structure=FiniteAbelianGroup(factors, 0))
 
 
@@ -215,10 +245,11 @@ def bar_homology(group, module, n):
         return res
     if n < 0:
         raise ValueError("homology degrees must be >= 0")
-    d1 = BarComplex(group, module).complete_map(-2)
+    bc = BarComplex(group, module)
+    d1 = bc.complete_map(-2)
     if module.p:
         return CohomologyResult(0, module.ring, dim=module.rank - fp.rank(d1, module.p))
-    factors, rank = intlin.invariant_factors(d1, group.order)
+    factors, rank = intlin.invariant_factors(d1, group.order, bc.rank(-2))
     return CohomologyResult(0, "Z", structure=FiniteAbelianGroup(factors, module.rank - rank))
 
 
@@ -232,7 +263,8 @@ def tate(group, module, i):
         bc.check_cap(-i)
     k = i if i >= 0 else -1 - i  # bar degree of the (co)chains in Tate degree i
     return _finite_homology(i, module, bc.dim(k),
-                            lambda: bc.complete_map(i - 1), lambda: bc.complete_map(i))
+                            lambda: bc.complete_map(i - 1), lambda: bc.complete_map(i),
+                            lambda: bc.rank(i - 1))
 
 
 def cyclic_cohomology(group, module, n):
@@ -240,7 +272,8 @@ def cyclic_cohomology(group, module, n):
 
     The cochain maps alternate S = sigma - 1 (out of even degrees) and the
     trace (out of odd ones); H^0 = M^G is the one group with a free part.
-    sigma is the first element of order |G|.
+    sigma is the first element of order |G|.  Over Z the complex is exact
+    over Q, so S has rank r - rank M^G and the trace rank M^G.
     """
     if group.family() != "cyclic":
         raise ValueError("periodic resolution needs a cyclic group")
@@ -252,8 +285,11 @@ def cyclic_cohomology(group, module, n):
     def d(k):
         return M.trace_matrix() if k % 2 else S
 
+    def rank(k):
+        return _fixed_rank(M) if k % 2 else M.rank - _fixed_rank(M)
+
     return _finite_homology(n, M, M.rank, (lambda: d(n - 1)) if n else None,
-                            lambda: d(n))
+                            lambda: d(n), lambda: rank(n - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -146,9 +146,10 @@ class GModule:
             return FiniteAbelianGroup([self.p] * quot, 0)
         if k == 0:
             return FiniteAbelianGroup([], 0)
-        # write each tr(e_j) in the fixed basis, then take the cokernel
+        # write each tr(e_j) in the fixed basis, then take the cokernel; tr
+        # is onto M^G over Q, as it is |G| on M^G
         cols = intlin.lattice_coords(fixed, tr.T, self.rank).T
-        free_rank, factors = intlin.quotient_structure(k, cols, self.group.order)
+        free_rank, factors = intlin.quotient_structure(k, cols, self.group.order, k)
         return FiniteAbelianGroup(factors, free_rank)
 
     def dual(self):

@@ -13,15 +13,19 @@ Invariant factors of finite quotients come from a modular kernel instead:
 the caller passes an exponent that every nonzero invariant factor divides,
 and elimination runs in int64 numpy arrays modulo small prime powers
 (Iliopoulos, SIAM J. Comput. 18, 1989; Dumas-Saunders-Villard, J. Symb.
-Comput. 32, 2001).  The same unit-pivot elimination, in reduced form, is
-fp.rref at p = 3 and 5.  No path of the package runs the Smith normal form:
-it stays, with its numpy row transform, only as the reference the tests
-compare against and as a layer the benchmark tracer wraps.  Products of
-numpy matrices that may grow go through product(), which switches to
-exact Python ints before int64 could wrap.
+Comput. 32, 2001); the rank those eliminations must match is the caller's
+when it is known over Q, and is otherwise found modulo a large prime.  The
+same unit-pivot elimination, in reduced form, is fp.rref at p = 3 and 5.
+No path of the package runs the Smith normal form: it stays, with its
+numpy row transform, only as the reference the tests compare against and
+as a layer the benchmark tracer wraps.  Products of numpy matrices that
+may grow go through product(), which switches to exact Python ints before
+int64 could wrap.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -381,6 +385,7 @@ def prime_powers(n):
     return out
 
 
+@functools.lru_cache(maxsize=None)
 def _rank_prime(exponent):
     """The largest prime below 2^15 that does not divide the exponent."""
     ell = 1 << 15
@@ -460,23 +465,34 @@ def _pivot_counts(rows, p, levels):
     return counts
 
 
-def invariant_factors(rows, exponent):
+def invariant_factors(rows, exponent, rank=None):
     """Nontrivial invariant factors (each >= 2, in a dividing chain) and rank
     of an integer matrix whose nonzero invariant factors all divide exponent.
 
-    The rank is taken modulo a prime that does not divide the exponent, and
-    the p-part of the factors over Z/p^(k+1) for each p^k exactly dividing
-    it.  A factor whose p-part exceeds p^k shows as a missing pivot and
-    raises VerificationError; a factor with a prime outside the exponent
-    goes unseen, so the exponent must be a true bound.
+    The p-part of the factors comes from elimination over Z/p^(k+1) for
+    each p^k exactly dividing the exponent, and the pivots found over all
+    p must number the rank.  The rank is the caller's when given (a rank
+    over Q known without elimination, such as one from the exactness of a
+    complex), and is otherwise taken modulo a prime that does not divide
+    the exponent.  A factor whose p-part exceeds p^k, or a given rank that
+    is wrong, shows as a pivot count off the rank and raises
+    VerificationError (exponent 1 has no prime, so a given rank is taken
+    as it is); a factor with a prime outside the exponent goes unseen, so
+    the exponent must be a true bound.
     """
     if exponent < 1:
         raise ValueError("exponent must be a positive integer")
     m = len(rows)
     n = len(rows[0]) if m else 0
+    if rank is not None and not 0 <= rank <= min(m, n):
+        raise ValueError("rank %d is outside [0, %d] for a %d x %d matrix"
+                         % (rank, min(m, n), m, n))
     if not m or not n:
         return [], 0
-    rank = _pivot_counts(rows, _rank_prime(exponent), 1)[0]
+    given = rank is not None
+    if not given:
+        ell = _rank_prime(exponent)
+        rank = _pivot_counts(rows, ell, 1)[0]
     factors = [1] * rank
     for p, k in prime_powers(exponent):
         if p ** (k + 1) >= 1 << 31:
@@ -485,20 +501,24 @@ def invariant_factors(rows, exponent):
         counts = _pivot_counts(rows, p, k + 1)
         if sum(counts) != rank:
             raise VerificationError(
-                "an invariant factor has %d-valuation above %d: the exponent %d"
-                " does not kill the quotient" % (p, k, exponent))
+                "an invariant factor has %d-valuation above %d, or the rank is"
+                " wrong: %d pivots over Z/%d^%d of a %d x %d matrix with"
+                " exponent %d, rank %d %s"
+                % (p, k, sum(counts), p, k + 1, m, n, exponent, rank,
+                   "given" if given else "found modulo %d" % ell))
         # valuations ascending, so slot i gets the i-th smallest p-part
         vals = [v for v, c in enumerate(counts) for _ in range(c)]
         factors = [d * p ** v for d, v in zip(factors, vals)]
     return [d for d in factors if d != 1], rank
 
 
-def quotient_structure(dim, cols, exponent):
+def quotient_structure(dim, cols, exponent, rank=None):
     """Structure of Z^dim / (lattice spanned by the given column vectors),
-    as (free_rank, factors); exponent kills its torsion."""
+    as (free_rank, factors); exponent kills its torsion, and rank, when
+    given, is that of the lattice."""
     if not len(cols):
         return dim, []
-    factors, rank = invariant_factors(cols, exponent)
+    factors, rank = invariant_factors(cols, exponent, rank)
     return dim - rank, factors
 
 

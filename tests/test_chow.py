@@ -257,6 +257,28 @@ def test_quaternion_transfer_check_corestricts_once(monkeypatch):
     assert len(inv) <= 3
 
 
+def test_exactness_ranks_spare_the_large_prime_pass(monkeypatch):
+    # over Z only the check that every transfer is a cocycle finds a rank
+    # by elimination modulo a large prime
+    primes = []
+    original = intlin._pivot_counts
+
+    def counted(rows, p, levels):
+        primes.append(p)
+        return original(rows, p, levels)
+
+    monkeypatch.setattr(intlin, "_pivot_counts", counted)
+    Q = make_quaternion(3)
+    M = gm.make_omega2_trivial(Q)
+    ell = intlin._rank_prime(Q.order)
+    values = [repr(coh.tate(Q, M, i).structure) for i in range(-3, 4)]
+    assert values == ["0", "Z/8", "0", "Z/2 + Z/2", "0", "Z/8", "0"]
+    assert primes and ell not in primes
+    del primes[:]
+    assert chow.transfer_generation_check(Q, M, 1)["generated"]
+    assert primes.count(ell) == 1
+
+
 # ---------------------------------------------------------------------------
 # reference for the transfer-image structure: class tuples in the Smith
 # normal form coordinates of H^2, and the evaluation kernel modulo its
@@ -299,8 +321,8 @@ def _recorded_structures(monkeypatch):
     seen = []
     original = chow._subgroup_structure
 
-    def recorded(d1, h2, cocycles, exponent):
-        out = original(d1, h2, cocycles, exponent)
+    def recorded(d1, h2, cocycles, exponent, **kwargs):
+        out = original(d1, h2, cocycles, exponent, **kwargs)
         seen.append((list(cocycles), out))
         return out
 

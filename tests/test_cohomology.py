@@ -124,6 +124,54 @@ def test_tate_matches_periodic_resolution():
                 assert coh.tate(G, M, i).structure == periodic.structure, (m, M.name, i)
 
 
+def _lattice_cases():
+    """Every (group, lattice) pair these tests build: cyclic C2..C9 with
+    trivial, sign and seeded modules, omega2Z over Q8 and Q16, the regular
+    module of C6 and trivial Z over Klein4."""
+    for m in range(2, 10):
+        G = make_cyclic(m)
+        yield G, gm.make_trivial(G)
+        if m % 2 == 0:
+            yield G, gm.make_sign_cyclic(G)
+        yield G, gm.random_cyclic_module(G, min(4, m), random.Random(m))
+    for G in (make_quaternion(3), make_quaternion(4)):
+        yield G, gm.make_omega2_trivial(G)
+    yield make_cyclic(6), gm.make_regular(make_cyclic(6))
+    yield make_klein4(), gm.make_trivial(make_klein4())
+
+
+# the largest dense matrix whose rank the test finds by elimination: bigger
+# maps under the cap take seconds each for the rank pass alone
+_RANK_CELLS = 400_000
+
+
+def test_exactness_ranks_match_the_large_prime_rank():
+    # the ranks from exactness over Q against the elimination modulo a
+    # large prime that they replace; both give the same invariant factors
+    for G, M in _lattice_cases():
+        bc = coh.BarComplex(G, M)
+        maps = []
+        for i in range(-4, 4):
+            k = i + 1 if i >= 0 else -1 - i  # the larger bar degree of the map
+            if bc.dim(k) * bc.dim(k - 1 if k else 0) <= _RANK_CELLS:
+                maps.append((i, bc.complete_map(i), bc.rank(i)))
+        if G.family() == "cyclic":
+            f = M.fixed_dim()
+            S = M.act(G.cyclic_generator()) - np.eye(M.rank, dtype=np.int64)
+            maps += [("sigma - 1", S, M.rank - f), ("trace", M.trace_matrix(), f)]
+        assert len(maps) >= 3, (G.name, M.name)
+        for i, A, rank in maps:
+            found = intlin.invariant_factors(A, G.order)
+            assert found[1] == rank, (G.name, M.name, i)
+            assert intlin.invariant_factors(A, G.order, rank) == found
+
+
+def test_exactness_ranks_need_a_lattice():
+    G = make_cyclic(4)
+    with pytest.raises(ValueError, match="need a lattice"):
+        coh.BarComplex(G, gm.make_trivial(G, "F2")).rank(1)
+
+
 def test_resource_cap(monkeypatch):
     monkeypatch.setenv("CHOWTWIST_MAX_CELLS", "100")
     G = make_cyclic(6)

@@ -164,6 +164,43 @@ def test_modular_invariant_factors_refuse_a_short_exponent():
         out.stdout
 
 
+def test_modular_invariant_factors_check_a_given_rank():
+    # a given rank replaces the pass modulo a large prime; the pivots over
+    # Z/p^(k+1) must still number it
+    rng = random.Random(21)
+    for exponent in (2, 6, 8, 12):
+        for _ in range(12):
+            A = _random_with_factors(rng, rng.randint(1, 7), rng.randint(1, 7),
+                                     exponent)
+            want = intlin.invariant_factors(A, exponent)
+            rank = want[1]
+            assert intlin.invariant_factors(A, exponent, rank) == want
+            for wrong in (rank - 1, rank + 1):
+                if 0 <= wrong <= min(A.shape):
+                    with pytest.raises(VerificationError,
+                                       match="rank %d given" % wrong):
+                        intlin.invariant_factors(A, exponent, wrong)
+            for outside in (-1, min(A.shape) + 1):
+                with pytest.raises(ValueError, match="outside"):
+                    intlin.invariant_factors(A, exponent, outside)
+    assert intlin.invariant_factors(np.zeros((0, 3), dtype=np.int64), 6, 0) == ([], 0)
+    with pytest.raises(ValueError, match="outside"):
+        intlin.invariant_factors(np.zeros((0, 3), dtype=np.int64), 6, 1)
+
+
+def test_pivot_count_refusal_names_its_inputs():
+    ell = intlin._rank_prime(2)
+    with pytest.raises(VerificationError) as exc:
+        intlin.invariant_factors([[4, 0, 0]], 2)
+    msg = str(exc.value)
+    for part in ("2-valuation above 1", "0 pivots over Z/2^2", "1 x 3 matrix",
+                 "exponent 2", "rank 1 found modulo %d" % ell):
+        assert part in msg, msg
+    with pytest.raises(VerificationError, match="1 pivots over Z/2\\^2 of a"
+                       " 2 x 2 matrix with exponent 2, rank 2 given"):
+        intlin.invariant_factors([[1, 0], [0, 0]], 2, 2)
+
+
 def test_bounded_product_is_exact():
     A = np.array([[1 << 40, 3], [-5, 1 << 40]], dtype=np.int64)
     small = intlin.product(A, np.array([[2], [7]]))
@@ -203,6 +240,9 @@ def test_quotient_structure():
     assert free == 2 and fac == [2]
     free, fac = intlin.quotient_structure(2, [], 1)
     assert free == 2 and fac == []
+    # a lattice of known rank: the coinvariants of the regular C3 module
+    free, fac = intlin.quotient_structure(3, [[1, -1, 0], [0, 1, -1]], 3, 2)
+    assert free == 1 and fac == []
 
 
 def test_kernel_mod_matches_brute_force():
