@@ -6,7 +6,9 @@ twisted-motivic pipeline for the Klein group.
 Conventions model a base field with enough roots of unity (k = C): cycle
 maps into group cohomology are isomorphisms or injections per family, so
 every value here is realized inside an explicitly computed cohomology
-group.
+group.  For the Klein group and an F_2 module M, CH^*(BG, M) is the image of
+M^G (x) F_2[u, v] in H^{2*}(G, M); KleinChowModule is that evaluation map,
+and graded presents the ring as its kernel.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from . import cohomology as coh
 from . import f2, fp, intlin, kleinres
 from .errors import UnsupportedFamilyError, VerificationError
 from .gmodules import FiniteAbelianGroup, restrict
+from .graded import FreeBasis
 from .groups import double_coset_index, make_klein4
 from .lattices import coflasque_resolution, counterexample_lattices
 
@@ -103,13 +106,16 @@ def twisted_chow_cyclic(group, module, i, oracle=False):
 
 
 class KleinChowModule:
-    """CH^*(BG, M) for the Klein group as a graded F_2[u, v]-module.
+    """CH^*(BG, M) for the Klein group, as the evaluation map that presents
+    it as a graded F_2[u, v]-module.
 
-    Degree-i component: span of the classes (x^{2a} y^{2b}) . m0 inside
-    H^{2i}(G, M), a+b = i, m0 running over a fixed-point basis; cocycles
-    live on the small resolution from kleinres.  Bases are chosen greedily
-    in (a, m0-index) order and the u, v actions are degree shifts expressed
-    in those bases.
+    The ring is generated in degree 0 by a basis m0 of M^G: u^a v^b . m0
+    goes to the class of the cocycle (x^{2a} y^{2b}) . m0 in H^{2i}(G, M),
+    a + b = i, on the small resolution from kleinres.  So the map leaves
+    the free module `source` on the fixed basis, every generator in degree
+    0, and calling it with i gives its memoised degree-i slice: column
+    (k, a, b) is that cocycle for the k-th fixed vector, reduced modulo the
+    degree's coboundaries.  CH^i is the slice's image.
     """
 
     def __init__(self, module):
@@ -117,52 +123,26 @@ class KleinChowModule:
             raise ValueError("Klein Chow groups need an F_2 module over Klein4")
         self.module = module
         self.fixed = module.fixed_points()
-        self._cache = {}
+        self.source = FreeBasis([0] * len(self.fixed))
+        self.p = 2
+        self._slices = {}
 
-    def _degree_data(self, i):
-        """(span of coboundaries, list of (a, b, m0_idx), basis cocycles)."""
-        if i in self._cache:
-            return self._cache[i]
+    def __call__(self, i):
+        if i in self._slices:
+            return self._slices[i]
         M = self.module
-        n = 2 * i
-        nbits = (n + 1) * M.rank
-        cob_span = f2.F2Span(nbits)
-        cob = kleinres.coboundary_rows(M, n)
-        if len(cob):
-            cob_span.add_matrix(f2.pack_rows(cob))
-        span = cob_span.copy()
-        labels, basis = [], []
-        for a in range(i + 1):
-            b = i - a
-            for k, m0 in enumerate(self.fixed):
-                z = kleinres.monomial_cocycle(M, m0, 2 * a, 2 * b)
-                packed = f2.pack_rows(z)[0]
-                if span.add(packed):
-                    labels.append((a, b, k))
-                    basis.append(packed)
-        out = (cob_span, labels, basis)
-        self._cache[i] = out
-        return out
+        cob = f2.F2Span((2 * i + 1) * M.rank)
+        rows = kleinres.coboundary_rows(M, 2 * i)
+        if len(rows):
+            cob.add_matrix(f2.pack_rows(rows))
+        cocycles = [kleinres.monomial_cocycle(M, self.fixed[k], 2 * a, 2 * b)
+                    for k, a, b in self.source.basis(i)]
+        Z = np.reshape(cocycles, (len(cocycles), cob.n_bits))
+        self._slices[i] = f2.unpack_rows(cob.residual(f2.pack_rows(Z)), cob.n_bits).T
+        return self._slices[i]
 
     def dim(self, i):
-        return len(self._degree_data(i)[1])
-
-    def multiplication_matrix(self, i, var):
-        """Matrix of multiplication by u (var=0) or v (var=1) from the
-        degree-i basis to the degree-(i+1) basis, over F_2."""
-        M = self.module
-        n = 2 * i
-        cobs, labels, basis = self._degree_data(i)
-        cobs1, labels1, basis1 = self._degree_data(i + 1)
-        out = np.zeros((len(labels1), len(labels)), dtype=np.int64)
-        for j, (a, b, k) in enumerate(labels):
-            na, nb = (a + 1, b) if var == 0 else (a, b + 1)
-            z = kleinres.monomial_cocycle(M, self.fixed[k], 2 * na, 2 * nb)
-            coeffs = f2.express_mod_span(cobs1, basis1, f2.pack_rows(z)[0])
-            if coeffs is None:
-                raise VerificationError("shifted class escaped the image span")
-            out[:, j] = coeffs
-        return out
+        return fp.rank(self(i).T, 2)  # the slice has fewer columns than rows
 
 
 def twisted_chow_klein(module, i):

@@ -146,7 +146,7 @@ class BarComplex:
         if self.module.p:
             raise ValueError("ranks from exactness need a lattice, not F_%d"
                              % self.module.p)
-        f = _fixed_rank(self.module)
+        f = self.module.fixed_rank()
         if i == -1:
             return f
         rank = self.r - f
@@ -196,13 +196,6 @@ class CohomologyResult:
         if self.structure is not None:
             out["structure"] = self.structure.to_json()
         return out
-
-
-def _fixed_rank(module):
-    """rank M^G of a lattice M, as the mean over G of the character: the
-    trace of sum_g rho(g), over |G|, is the dimension of the invariants over
-    Q, with no elimination."""
-    return int(np.trace(module.trace_matrix())) // module.group.order
 
 
 def _finite_homology(degree, module, dim, d_in, d_out, rank_in=None):
@@ -286,7 +279,7 @@ def cyclic_cohomology(group, module, n):
         return M.trace_matrix() if k % 2 else S
 
     def rank(k):
-        return _fixed_rank(M) if k % 2 else M.rank - _fixed_rank(M)
+        return M.fixed_rank() if k % 2 else M.rank - M.fixed_rank()
 
     return _finite_homology(n, M, M.rank, (lambda: d(n - 1)) if n else None,
                             lambda: d(n), lambda: rank(n - 1))

@@ -3,8 +3,8 @@
 Vectors are stored 64 bits per uint64 word so coboundary spans with ~10^4
 coordinates stay cheap.  Elimination is vectorized one pivot at a time: the
 pivot row is XORed into every other row that has the pivot bit set.
-eliminate() is that loop; F2Span.add_matrix, express_mod_span and fp.rref
-at p = 2 all run it.
+eliminate() is that loop; F2Span.add_matrix and fp.rref at p = 2 both run
+it.
 """
 
 from __future__ import annotations
@@ -112,24 +112,19 @@ class F2Span:
             M = np.vstack([np.vstack(list(self.pivots.values())), M])
         self.pivots = {bit: M[i] for bit, i in eliminate(M).items()}
 
-    def residual(self, row):
-        """Reduce a packed vector by the span; zero iff the vector is in it."""
-        v = np.array(row, dtype=np.uint64, copy=True)
-        while True:
-            bit = _lowest_bit(v)
-            if bit is None or bit not in self.pivots:
-                return v
-            v = v ^ self.pivots[bit]
+    def residual(self, rows):
+        """Reduce a packed vector, or each row of a packed matrix, by the
+        span: XOR in the pivot row of each pivot bit it holds.  A pivot row
+        holds no other pivot bit, so the result holds none; it is linear
+        and zero exactly on the span."""
+        v = np.array(rows, dtype=np.uint64, copy=True)
+        for bit, prow in self.pivots.items():
+            held = (v[..., bit >> 6] >> np.uint64(bit & 63)) & np.uint64(1)
+            v ^= held[..., None] * prow
+        return v
 
     def contains(self, row):
         return not self.residual(row).any()
-
-    def copy(self):
-        """An independent span with the same rows.  Nothing writes into a
-        stored row after add or add_matrix returns, so the rows are shared."""
-        out = F2Span(self.n_bits)
-        out.pivots = dict(self.pivots)
-        return out
 
     def add(self, row):
         """Add one vector; returns True if the span grew."""
@@ -144,19 +139,3 @@ class F2Span:
         self.pivots[bit] = v
         return True
 
-
-def express_mod_span(span, basis_rows, target):
-    """Coefficients writing target as a GF(2) combination of basis_rows
-    modulo the given F2Span, or None.
-
-    The residuals are eliminated with unit vectors appended past the last
-    bit, so the target's row, kept last and reduced by the rows above it,
-    ends as [0 | coefficients] exactly when a combination exists.
-    """
-    k, n = len(basis_rows), span.n_bits
-    res = [span.residual(v) for v in list(basis_rows) + [target]]
-    bits = unpack_rows(np.array(res), n)
-    M = pack_rows(np.hstack([bits, np.eye(k + 1, k, dtype=np.int64)]))
-    eliminate(M)
-    last = unpack_rows(M[-1:], n + k)[0]
-    return None if last[:n].any() else last[n:].tolist()

@@ -134,6 +134,15 @@ class GModule:
     def fixed_dim(self):
         return len(self.fixed_points())
 
+    def fixed_rank(self, subgroup=None):
+        """rank M^H of a lattice M, H the group or the given subgroup: the
+        mean over H of the character, sum_h tr rho(h) / |H|, is the
+        dimension of the invariants over Q, with no elimination."""
+        if self.p:
+            raise ValueError("the character gives rank M^H over Q, not F_%d" % self.p)
+        elements = range(self.group.order) if subgroup is None else subgroup.elements
+        return int(np.trace(sum(self._mats[h] for h in elements))) // len(elements)
+
     def trace_quotient(self):
         """M^G / tr(M) as a FiniteAbelianGroup (Tate degree-0 invariant)."""
         fixed = self.fixed_points()
@@ -277,28 +286,12 @@ def make_sign_cyclic(group, ring=RING_Z):
     return GModule(group, ring, 1, gens, check=False, name="sign")
 
 
-def make_augmentation_quotient(group, ring=RING_Z):
-    """ZG/Z: regular module modulo the span of the all-ones trace vector.
-
-    Basis: images of the non-identity group elements g - (identity coset
-    collapse); concretely take basis [g] for g != e with [e] = -sum [g].
-    """
-    n = group.order
-    e = group.identity
-    others = [g for g in range(n) if g != e]
-    pos = {g: i for i, g in enumerate(others)}
-    k = n - 1
-    gens = {}
-    for g in group.generators:
-        m = np.zeros((k, k), dtype=np.int64)
-        for i, a in enumerate(others):
-            ga = group.mul(g, a)
-            if ga == e:
-                m[:, i] = -1
-            else:
-                m[pos[ga], i] = 1
-        gens[g] = m
-    return GModule(group, ring, k, gens, check=False, name="%sG/%s" % (ring, ring))
+def make_augmentation_quotient(group):
+    """ZG/Z: the regular module modulo the span of the trace vector, built
+    as the dual of the augmentation ideal."""
+    Q = augmentation_ideal(group).dual()
+    Q.name = "ZG/Z"
+    return Q
 
 
 def random_cyclic_module(group, rank, rng=None, ring=RING_Z):

@@ -4,11 +4,13 @@ series, minimal free resolutions (length at most 2 by the syzygy theorem for
 two variables) and Castelnuovo-Mumford regularity.
 
 Everything is degreewise dense linear algebra on monomial bases; no Groebner
-machinery.  A module is fed in as a dimension table plus the two
-multiplication maps per degree.  Every map out of a free module (the
-evaluation onto the module, the relations into the generators' free module,
-the syzygies into the relations' one) is one FreeMap, taken a degree slice
-at a time; kernels, ranks and the minimality checks are read off its slices.
+machinery.  A module is fed in as a dimension table plus its evaluation
+map, onto the module from a free module (present); present_from_action
+builds that map from the two multiplication maps per degree.  Every map out
+of a free module (the evaluation onto the module, the relations into the
+generators' free module, the syzygies into the relations' one) is taken a
+degree slice at a time; kernels, ranks and the minimality checks are read
+off its slices.
 """
 
 from __future__ import annotations
@@ -109,30 +111,24 @@ class GradedModulePresentation:
     """Generators and homogeneous relations for a graded module, plus the
     degreewise dimension table they were extracted from.
 
-    gen_degrees: degree of each generator.
-    gen_vectors: the generator as a vector in the module's own degree slice.
-    relations: list of (degree, vector over the free-module slice basis).
-
-    evaluation is the surjection from the free module on the generators
-    onto the module, relation_map the map from the free module on the
-    relations into the free module on the generators.
+    evaluation is the surjection onto the module from the free module on
+    the generators: any map out of a free module, with its `source`
+    FreeBasis, its prime `p` and its degree-d slice as evaluation(d), as a
+    FreeMap has them.  relations: list of (degree, vector over the
+    free-module slice basis); relation_map is the map from the free module
+    on the relations into the free module on the generators.
     """
 
-    def __init__(self, p, dims, u_maps, v_maps, gen_degrees, gen_vectors,
-                 relations, name=None):
-        self.p = p
+    def __init__(self, dims, evaluation, relations, name=None):
+        self.p = evaluation.p
         self.dims = list(dims)
         self.horizon = len(dims) - 1
-        self.u_maps = u_maps
-        self.v_maps = v_maps
-        self.gen_degrees = gen_degrees
-        self.gen_vectors = gen_vectors
+        self.evaluation = evaluation
+        self.free = evaluation.source
+        self.gen_degrees = self.free.gen_degrees
         self.name = name
-        self.free = FreeBasis(gen_degrees)
-        self.evaluation = FreeMap(self.free, gen_vectors, p, self.dims.__getitem__,
-                                  lambda d, var: (u_maps, v_maps)[var][d])
         self.relations = relations
-        self.relation_map = FreeMap.into_free(self.free, relations, p)
+        self.relation_map = FreeMap.into_free(self.free, relations, self.p)
 
     def relation_degrees(self):
         return [d for d, _ in self.relations]
@@ -168,6 +164,16 @@ class GradedModulePresentation:
                 "dims": self.dims}
 
 
+def present(evaluation, dims, name=None):
+    """The checked minimal presentation of the module that evaluation maps
+    onto, dims its dimension table in degrees 0..D: the relations are
+    minimal generators of the evaluation's kernel up to degree D."""
+    relations = _minimal_kernel_generators(evaluation, len(dims) - 1)
+    pres = GradedModulePresentation(dims, evaluation, relations, name)
+    pres.check()
+    return pres
+
+
 def present_from_action(dims, u_maps, v_maps, p=2, name=None):
     """Minimal presentation of a graded module given per-degree dimensions
     and the two degree-raising multiplication maps.
@@ -192,13 +198,10 @@ def present_from_action(dims, u_maps, v_maps, p=2, name=None):
                 gen_degrees.append(d)
                 gen_vectors.append([int(x) for x in e])
 
-    pres = GradedModulePresentation(p, dims, u_maps, v_maps, gen_degrees,
-                                    gen_vectors, [], name=name)
-    # relations: minimal generators of the kernel of the evaluation map
-    pres.relations = _minimal_kernel_generators(pres.evaluation, D)
-    pres.relation_map = FreeMap.into_free(pres.free, pres.relations, p)
-    pres.check()
-    return pres
+    dims = list(dims)
+    evaluation = FreeMap(FreeBasis(gen_degrees), gen_vectors, p, dims.__getitem__,
+                         lambda d, var: (u_maps, v_maps)[var][d])
+    return present(evaluation, dims, name)
 
 
 def _minimal_kernel_generators(fmap, D):
@@ -361,13 +364,10 @@ def hilbert_to_json(hilbert):
 
 
 def klein_chow_presentation(module, D):
-    """Presentation of CH^*(Klein, M) as a module over F_2[u, v], from the
-    image computation's bases and shift actions."""
+    """Presentation of CH^*(Klein, M) as a module over F_2[u, v]: the
+    relations are the kernel of its evaluation from the fixed points."""
     from .chow import KleinChowModule
 
     kcm = module if isinstance(module, KleinChowModule) else KleinChowModule(module)
-    dims = [kcm.dim(i) for i in range(D + 1)]
-    u_maps = [kcm.multiplication_matrix(i, 0) for i in range(D)]
-    v_maps = [kcm.multiplication_matrix(i, 1) for i in range(D)]
-    return present_from_action(dims, u_maps, v_maps, p=2,
-                               name="CH(Klein4,%s)" % kcm.module.name)
+    return present(kcm, [kcm.dim(i) for i in range(D + 1)],
+                   name="CH(Klein4,%s)" % kcm.module.name)

@@ -20,7 +20,8 @@ from .groups import double_coset_index, make_klein4
 def h1_lattice(module, subgroup=None):
     """H^1(H, M) for an integral module, as a FiniteAbelianGroup.
 
-    Torsion of the cokernel of delta_0 : M -> maps(H - {e}, M).
+    Torsion of the cokernel of delta_0 : M -> maps(H - {e}, M), whose
+    rank over Q is r - rank M^H.
     """
     G = module.group
     elements = subgroup.elements if subgroup is not None else range(G.order)
@@ -29,7 +30,8 @@ def h1_lattice(module, subgroup=None):
     if not blocks or module.rank == 0:
         return FiniteAbelianGroup([], 0)
     order = subgroup.order if subgroup is not None else G.order
-    factors, _ = intlin.invariant_factors(np.vstack(blocks), order)
+    factors, _ = intlin.invariant_factors(
+        np.vstack(blocks), order, rank=module.rank - module.fixed_rank(subgroup))
     return FiniteAbelianGroup(factors, 0)
 
 

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from chowtwist import chow, cli, f2, intlin
+from chowtwist import chow, cli, f2, fp, intlin
 from chowtwist import lattices as lat
 from chowtwist import cohomology as coh
 from chowtwist import gmodules as gm
@@ -66,14 +66,19 @@ def test_klein_requires_f2():
 
 
 def test_klein_module_multiplication():
-    km = chow.KleinChowModule(gm.omega_negative_klein(1))
-    for var in (0, 1):
-        A = km.multiplication_matrix(1, var)
-        assert A.shape == (km.dim(2), km.dim(1))
-    # u and v commute as maps CH^1 -> CH^3
-    uv = km.multiplication_matrix(2, 0) @ km.multiplication_matrix(1, 1)
-    vu = km.multiplication_matrix(2, 1) @ km.multiplication_matrix(1, 0)
-    assert np.array_equal(uv % 2, vu % 2)
+    # u and v carry the kernel of each slice of the evaluation map into the
+    # next slice's kernel, so they act on CH^*, the image of the slices
+    km = chow.KleinChowModule(gm.omega_negative_klein(3))
+    assert km.source.gen_degrees == [0] * 4
+    for i in range(4):
+        E = km(i)
+        assert E.shape == (7 * (2 * i + 1), 4 * (i + 1))
+        assert km.dim(i) == 3 + 2 * i + 1
+        ker = fp.nullspace(E, 2)
+        assert len(ker) == 4 * (i + 1) - km.dim(i)
+        for var in (0, 1):
+            shifted = km.source.shift(i, var) @ ker.T
+            assert not ((km(i + 1) @ shifted) % 2).any()
 
 
 def test_quaternion_omega2():
@@ -229,14 +234,15 @@ def _count_calls(monkeypatch, owner, name):
     return calls
 
 
-def test_klein_degree_data_adds_coboundaries_once(monkeypatch):
+def test_klein_slices_add_coboundaries_once(monkeypatch):
     calls = _count_calls(monkeypatch, f2.F2Span, "add_matrix")
     km = chow.KleinChowModule(gm.omega_negative_klein(4))
     assert (km.dim(1), km.dim(2)) == (7, 9)
-    # u shifts the degree-1 basis down two slots, v keeps it in place
-    assert np.array_equal(km.multiplication_matrix(1, 0), np.eye(9, 7, k=-2))
-    assert np.array_equal(km.multiplication_matrix(1, 1), np.eye(9, 7))
-    assert len(calls) == 2  # one coboundary span per degree
+    assert len(calls) == 2  # one coboundary span per degree sliced
+    for i in (1, 2, 1, 2):
+        km(i)
+    assert km.dim(0) == 5  # degree 0 has no coboundaries
+    assert len(calls) == 2
 
 
 def test_quaternion_transfer_check_corestricts_once(monkeypatch):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from chowtwist import gmodules as gm
-from chowtwist import graded
+from chowtwist import cli, fp, graded, kleinres
 from chowtwist.errors import HorizonError, VerificationError
 from chowtwist.groups import make_klein4
 
@@ -139,9 +139,11 @@ def test_unit_relation_entry_rejected():
     # F_2[u, v] on two degree-0 generators with the same image, tied by the
     # degree-0 relation g0 + g1: a valid presentation, but not a minimal one
     D = 6
-    dims, u_maps, v_maps = _free_rank_one(D)
-    P = graded.GradedModulePresentation(2, dims, u_maps, v_maps, [0, 0],
-                                        [[1], [1]], [(0, [1, 1])])
+    ring = graded.FreeBasis([0])
+    dims = [ring.dim(d) for d in range(D + 1)]
+    E = graded.FreeMap.into_free(ring, [(0, [1]), (0, [1])], 2)
+    P = graded.GradedModulePresentation(dims, E, [(0, [1, 1])])
+    assert P.gen_degrees == [0, 0]
     assert P.check()
     assert graded.hilbert_series(P) == dims
     with pytest.raises(ValueError, match="presentation not minimal"):
@@ -149,15 +151,74 @@ def test_unit_relation_entry_rejected():
 
 
 def test_inconsistent_presentations_rejected():
-    dims, u_maps, v_maps = _free_rank_one(4)
+    ring = graded.FreeBasis([0])
+    dims = [ring.dim(d) for d in range(5)]
     # a relation that does not evaluate to zero
-    P = graded.GradedModulePresentation(2, dims, u_maps, v_maps, [0], [[1]],
-                                        [(1, [1, 0])])
+    E = graded.FreeMap.into_free(ring, [(0, [1])], 2)
+    P = graded.GradedModulePresentation(dims, E, [(1, [1, 0])])
     with pytest.raises(ValueError, match="evaluate to zero"):
         P.check()
     with pytest.raises(VerificationError):
         graded.hilbert_series(P)
     # a generator that misses half of a two-dimensional degree-0 module
-    P = graded.GradedModulePresentation(2, [2], [], [], [0], [[1, 0]], [])
+    E = graded.FreeMap(graded.FreeBasis([0]), [[1, 0]], 2, [2].__getitem__, None)
+    P = graded.GradedModulePresentation([2], E, [])
     with pytest.raises(ValueError, match="not surjective"):
         P.check()
+    # present checks what it builds
+    with pytest.raises(ValueError, match="not surjective"):
+        graded.present(E, [2])
+
+
+# ---------------------------------------------------------------------------
+# reference for the Klein presentation: a greedy basis of classes in each
+# degree, the u and v matrices in those bases, then present_from_action
+
+
+def _greedy_klein_route(M, D):
+    """(dims, u_maps, v_maps) of CH^*(Klein4, M) in degrees 0..D: the
+    degree-i basis is picked greedily among the classes of the cocycles
+    (x^{2a} y^{2b}) . m0, a = 0..i, m0 over the fixed basis, and the
+    shifted basis cocycles are solved for in the next degree's basis
+    modulo its coboundaries."""
+    fixed = M.fixed_points()
+
+    def cocycle(a, b, k):
+        return kleinres.monomial_cocycle(M, fixed[k], 2 * a, 2 * b)
+
+    degrees = []  # (labels, basis cocycles, coboundary rows) per degree
+    for i in range(D + 1):
+        cob = kleinres.coboundary_rows(M, 2 * i)
+        span = fp.Span((2 * i + 1) * M.rank, 2, cob)
+        labels = [(a, i - a, k) for a in range(i + 1)
+                  for k in range(len(fixed)) if span.add(cocycle(a, i - a, k))]
+        degrees.append((labels, [cocycle(*lab) for lab in labels], cob))
+    u_maps, v_maps = [], []
+    for i in range(D):
+        labels = degrees[i][0]
+        _, basis1, cob1 = degrees[i + 1]
+        A = np.column_stack(basis1 + list(cob1))
+        for var, maps in ((0, u_maps), (1, v_maps)):
+            shifted = [cocycle(a + 1 - var, b + var, k) for a, b, k in labels]
+            X = fp.solve(A, np.reshape(shifted, (len(labels), A.shape[0])).T, 2)
+            if X is None:
+                raise VerificationError("shifted class escaped the image span")
+            maps.append(X[:len(basis1)])
+    return [len(d[0]) for d in degrees], u_maps, v_maps
+
+
+@pytest.mark.parametrize("spec", ["trivialF2"]
+                         + ["omega:%d" % n for m in (1, 2, 3, 4) for n in (m, -m)]
+                         + ["l_zeta:x:2", "l_zeta:x+y:3"])
+def test_klein_presentation_matches_the_greedy_route(spec):
+    M = cli.parse_module(make_klein4(), spec)
+    D = (M.rank - 1) // 2 + 6  # the graded command's default horizon
+    dims, u_maps, v_maps = _greedy_klein_route(M, D)
+    P = graded.klein_chow_presentation(M, D)
+    assert dims == P.dims
+    reference = graded.present_from_action(dims, u_maps, v_maps, p=2)
+    assert reference.to_json() == P.to_json()
+    if spec == "omega:-4":
+        # u shifts the degree-1 basis down two slots, v keeps it in place
+        assert np.array_equal(u_maps[1], np.eye(9, 7, k=-2))
+        assert np.array_equal(v_maps[1], np.eye(9, 7))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from chowtwist import gmodules as gm
+from chowtwist import intlin
 from chowtwist import lattices as lat
 from chowtwist import verify
 from chowtwist.errors import SizePolicyError
@@ -21,6 +22,22 @@ def test_h1_known_values():
     assert lat.h1_lattice(gm.make_trivial(G)).is_trivial()
     assert lat.h1_lattice(gm.make_sign_cyclic(G)) == gm.FiniteAbelianGroup([2])
     assert lat.h1_lattice(gm.make_augmentation_quotient(G)) == gm.FiniteAbelianGroup([4])
+
+
+def test_h1_lattice_takes_its_rank_from_the_character(monkeypatch):
+    # rank delta_0 = r - rank M^H, so no rank pass modulo a large prime runs
+    primes = []
+    original = intlin._pivot_counts
+
+    def counted(rows, p, levels):
+        primes.append(p)
+        return original(rows, p, levels)
+
+    monkeypatch.setattr(intlin, "_pivot_counts", counted)
+    Q = make_quaternion(3)
+    ok, (S, h1) = lat.is_coflasque(gm.make_augmentation_quotient(Q))
+    assert not ok and h1 == gm.FiniteAbelianGroup([2])
+    assert primes and set(primes) == {2}
 
 
 def test_permutation_modules_are_coflasque():

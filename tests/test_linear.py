@@ -598,17 +598,23 @@ def test_f2_span_incremental_add():
         assert span.contains(f2.pack_rows(v)[0])
 
 
-def test_f2_express_mod_span():
-    n = 8
-    span = f2.F2Span(n)
-    span.add_matrix(f2.pack_rows(np.eye(n, dtype=np.int64)[:2]))  # e0, e1
-    basis = [f2.pack_rows(np.eye(n, dtype=np.int64)[i])[0] for i in (2, 3)]
-    target = np.zeros(n, dtype=np.int64)
-    target[[0, 2, 3]] = 1  # e0 + e2 + e3: e0 dies mod the span
-    coeffs = f2.express_mod_span(span, basis, f2.pack_rows(target)[0])
-    assert coeffs == [1, 1]
-    target[4] = 1
-    assert f2.express_mod_span(span, basis, f2.pack_rows(target)[0]) is None
+def test_f2_residual_is_linear():
+    # the residual clears every pivot bit, so it is the projection along
+    # the span: linear, and zero exactly on the span
+    rng = np.random.default_rng(8)
+    for n in (5, 64, 130):
+        rows = rng.integers(0, 2, size=(n // 2, n))
+        span = f2.F2Span(n, f2.pack_rows(rows))
+        for _ in range(20):
+            v, w = rng.integers(0, 2, size=(2, n))
+            rv, rw = (span.residual(f2.pack_rows(x)[0]) for x in (v, w))
+            assert np.array_equal(span.residual(f2.pack_rows(v ^ w)[0]), rv ^ rw)
+            bits = f2.unpack_rows(rv.reshape(1, -1), n)[0]
+            assert not bits[list(span.pivots)].any()
+            assert (fp.rank(np.vstack([rows, v]), 2) == span.rank) == (not rv.any())
+            assert fp.rank(np.vstack([rows, v ^ bits]), 2) == span.rank
+            both = span.residual(f2.pack_rows(np.vstack([v, w])))
+            assert np.array_equal(both, np.vstack([rv, rw]))
 
 
 def test_xgcd():
