@@ -22,7 +22,7 @@ from . import f2, fp, intlin, kleinres
 from .errors import UnsupportedFamilyError, VerificationError
 from .gmodules import FiniteAbelianGroup, restrict
 from .graded import FreeBasis
-from .groups import double_coset_index, make_klein4
+from .groups import double_coset_index
 from .lattices import coflasque_resolution, counterexample_lattices
 
 
@@ -323,84 +323,66 @@ def _xy_subgroups(group):
 
 
 # ---------------------------------------------------------------------------
-# Mackey structure on the Chow rings of Klein subgroups
+# Mackey structure on the Chow rings of Klein subgroups, mod 2: the map of
+# permutation modules in the motivic pipeline is evaluated on CH^i of its
+# pieces block by block
 
 
-class MackeyChowKlein:
-    """Chow rings of the five Klein subgroups with restriction and transfer.
+# the restrictions of u and v to <g>, as multiples of c, keyed by the
+# non-identity element g
+_KLEIN_RES = {1: (1, 0), 2: (0, 1), 3: (1, 1)}
 
-    CH^* of the full group is Z[u, v]/(2u, 2v) with monomial basis u^a v^b
-    in degree a+b; of each order-2 subgroup Z[c]/(2c); of the trivial
-    subgroup just Z in degree 0.  In positive degree all transfers vanish
-    and restriction is determined by the character table: u restricts to c
-    on the first subgroup, to 0 on the second, to c on the diagonal one.
+
+def _klein_chow_dim(H, i):
+    """F_2 dimension of CH^i(BH)/2 for a subgroup H of the Klein group.
+
+    CH^* of the full group is Z[u, v]/(2u, 2v) with monomial basis u^a v^(i-a),
+    a = 0..i; of an order-2 subgroup Z[c]/(2c) with basis c^i; of the
+    trivial subgroup Z in degree 0.
     """
+    if i == 0:
+        return 1
+    return {1: 0, 2: 1, 4: i + 1}[H.order]
 
-    def __init__(self):
-        self.group = make_klein4()
-        # res^G_{<g>}(u), res^G_{<g>}(v) etc., as (coefficient of c) pairs
-        self.res_table = {1: (1, 0), 2: (0, 1), 3: (1, 1)}
 
-    def chow_dim(self, subgroup, i):
-        """F_2 dimension of CH^i(BH) for i > 0 (degree 0 is Z for every H)."""
-        if i == 0:
-            return 1
-        if subgroup.order == 1:
-            return 0
-        if subgroup.order == 2:
-            return 1
-        return i + 1
+def _klein_block(K, H, i):
+    """The mod-2 map CH^i(BK) -> CH^i(BH) that one double-coset basis map
+    Z[G/K] -> Z[G/H] induces.
 
-    def restriction_matrix(self, K, H, i):
-        """res^K_H on degree-i Chow groups mod 2, H <= K, i > 0.
-
-        Bases: monomials u^a v^b (a+b = i) for the full group, c^i for an
-        order-2 subgroup.
-        """
-        dK, dH = self.chow_dim(K, i), self.chow_dim(H, i)
-        out = np.zeros((dH, dK), dtype=np.int64)
-        if dH == 0 or dK == 0:
-            return out
-        if K.order == H.order:
-            np.fill_diagonal(out, 1)
-            return out
-        if K.order == 4 and H.order == 2:
-            gen = next(a for a in H.elements if a != self.group.identity)
-            ru, rv = self.res_table[gen]
-            for col in range(dK):  # column col is the monomial u^col v^{i-col}
-                out[0, col] = ((ru ** col) * (rv ** (i - col))) % 2
-            return out
-        return out  # restriction to the trivial subgroup is zero in degree > 0
-
-    def evaluate_block(self, K, H, coeff, i):
-        """Induced map CH^i(BK) -> CH^i(BH) of coeff times the double-coset
-        basis map; nonzero in positive degree only when H <= K, where it is
-        restriction (the transfer factor is the identity)."""
-        dK, dH = self.chow_dim(K, i), self.chow_dim(H, i)
-        if coeff % 2 == 0 or dK == 0 or dH == 0:
-            return np.zeros((dH, dK), dtype=np.int64)
-        Hset, Kset = set(H.elements), set(K.elements)
-        if not Hset <= Kset:
-            return np.zeros((dH, dK), dtype=np.int64)
-        return (coeff * self.restriction_matrix(K, H, i)) % 2
+    When H is not inside K the map factors through a transfer of even index,
+    so it is zero in every degree; when H = K it is the identity.  Otherwise
+    H is a proper subgroup of order at most 2, the map is restriction, and a
+    monomial restricts to the product of the restrictions of its variables:
+    u and v to multiples of c by _KLEIN_RES, and u, v and c all to 0 on the
+    trivial subgroup (so degree 0, with 0**0 = 1, gives [[1]]).
+    """
+    dK, dH = _klein_chow_dim(K, i), _klein_chow_dim(H, i)
+    if not set(H.elements) <= set(K.elements):
+        return np.zeros((dH, dK), dtype=np.int64)
+    if H == K:
+        return np.eye(dK, dtype=np.int64)
+    ru = rv = 0
+    if H.order == 2:
+        ru, rv = _KLEIN_RES[next(g for g in H.elements if g != H.parent.identity)]
+    row = [ru ** a * rv ** (i - a) for a in range(i + 1)] if K.order == 4 else [0 ** i]
+    return np.array([row] * dH, dtype=np.int64).reshape(dH, dK)
 
 
 def _double_coset_coefficients(G, K, H, block):
-    """Coefficients of the double-coset basis in a G-map Z[G/K] -> Z[G/H].
+    """Sum of the coefficients of the double-coset basis in a G-map
+    Z[G/K] -> Z[G/H].
 
     block is the matrix in coset bases (rows: cosets of H, cols: cosets of
     K); the coefficient of the class of gH is constant on K-orbits, so it
-    is read off the identity-coset column.  Returns total coefficient sums
-    per double coset KgH, in the order of their least elements (for the
-    Klein group all conjugations are trivial, so only the sum matters
-    downstream).
+    is read off the identity-coset column, one per double coset KgH.  For
+    the Klein group all conjugations are trivial, so only the sum matters.
     """
     _, coset_of = H.cosets()
     reps, double_of = double_coset_index(G, K, H)
     coeff = block[coset_of, 0]  # of the coset of each element
     if (coeff != coeff[reps][double_of]).any():
         raise VerificationError("map is not equivariant on a K-orbit")
-    return coeff[reps].tolist()
+    return int(coeff[reps].sum())
 
 
 def twisted_motivic_klein(module, i, resolutions=None):
@@ -416,7 +398,6 @@ def twisted_motivic_klein(module, i, resolutions=None):
     target pieces, same for sources, and the integer matrix of P -> B.
     """
     G = module.group
-    mk = MackeyChowKlein()
     if resolutions is None:
         res1 = coflasque_resolution(module, prune=True)
         res1.check()
@@ -429,8 +410,8 @@ def twisted_motivic_klein(module, i, resolutions=None):
         source_pieces = [s for s, _ in res2.pieces]
     else:
         target_pieces, source_pieces, psi = resolutions
-    tgt_dims = [mk.chow_dim(H, i) for H in target_pieces]
-    src_dims = [mk.chow_dim(K, i) for K in source_pieces]
+    tgt_dims = [_klein_chow_dim(H, i) for H in target_pieces]
+    src_dims = [_klein_chow_dim(K, i) for K in source_pieces]
     total_t, total_s = sum(tgt_dims), sum(src_dims)
     mat = np.zeros((total_t, total_s), dtype=np.int64)
     t_off = np.cumsum([0] + tgt_dims)
@@ -441,18 +422,13 @@ def twisted_motivic_klein(module, i, resolutions=None):
     for si, K in enumerate(source_pieces):
         for ti, H in enumerate(target_pieces):
             block = psi[t_block[ti]:t_block[ti + 1], s_block[si]:s_block[si + 1]]
-            if not block.any():
-                continue
-            coeffs = _double_coset_coefficients(G, K, H, block)
-            total = sum(coeffs)
-            piece = mk.evaluate_block(K, H, total, i)
-            mat[t_off[ti]:t_off[ti + 1], s_off[si]:s_off[si + 1]] += piece
+            if block.any() and _double_coset_coefficients(G, K, H, block) % 2:
+                mat[t_off[ti]:t_off[ti + 1],
+                    s_off[si]:s_off[si + 1]] += _klein_block(K, H, i)
     mat %= 2
     coker = total_t - fp.rank(mat, 2) if total_t else 0
-    chow = twisted_chow_klein(module, i).value if module.p == 2 else None
-    if chow is not None and i > 0:
-        if coker < chow:
-            raise VerificationError("motivic value smaller than the Chow image")
+    if module.p == 2 and coker < twisted_chow_klein(module, i).value:
+        raise VerificationError("motivic value smaller than the Chow image")
     return TwistedChowResult(i, coker, "motivic_pipeline", cross_check=None,
                              group_name=G.name, module_name=module.name)
 

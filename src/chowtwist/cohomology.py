@@ -44,7 +44,7 @@ from . import fp, intlin
 from .errors import ResourceCapError
 from .gmodules import FiniteAbelianGroup
 
-DEFAULT_MAX_CELLS = 10 ** 6
+DEFAULT_MAX_CELLS = 1 << 27  # 1 GiB of int64
 
 
 def max_cells():
@@ -70,25 +70,24 @@ class BarComplex:
     def dim(self, n):
         return (self.q ** n) * self.r
 
-    def check_cap(self, n):
-        cells = (self.q ** (n + 1)) * self.r
-        cap = max_cells()
-        if cells > cap:
-            raise ResourceCapError(
-                "degree-%d bar computation needs %d cells, cap is %d" % (n, cells, cap),
-                cells=cells,
-            )
-
     def _face_matrix(self, n, chains):
-        """The faces of each n-tuple t, summed without a cap: t[1:] through
-        t[0] (through t[0]^-1 on chains), the signed merges and t[:n-1].
-        On cochains, with t indexing the rows, this is delta_{n-1}; on
-        chains, with t indexing the columns, it is d_n.
+        """The faces of each n-tuple t: t[1:] through t[0] (through
+        t[0]^-1 on chains), the signed merges and t[:n-1].  On cochains,
+        with t indexing the rows, this is delta_{n-1}; on chains, with t
+        indexing the columns, it is d_n.  Either has q^(2n-1) r^2 cells, and
+        one above max_cells() raises ResourceCapError before any is
+        allocated.
 
         Tuples carry the base-q index of _tuple_indices, so every face index
         is arithmetic on t, and each face is one scatter of blocks over all
         t at once; a merge that hits the identity is dropped."""
         G, M, q, r = self.group, self.module, self.q, self.r
+        cells, cap = q ** (2 * n - 1) * r * r, max_cells()
+        if cells > cap:
+            raise ResourceCapError(
+                "%s of the bar complex needs %d cells, cap is %d"
+                % ("d_%d" % n if chains else "delta_%d" % (n - 1), cells, cap),
+                cells=cells)
         t = np.arange(q ** n)
         entry = [self.nonid[(t // q ** (n - 1 - k)) % q] for k in range(n)]
         shape = (q ** (n - 1), r, q ** n, r) if chains else (q ** n, r, q ** (n - 1), r)
@@ -118,7 +117,6 @@ class BarComplex:
     def delta_matrix(self, n):
         """Dense matrix of delta_n, shape dim(n+1) x dim(n)."""
         if n not in self._delta_cache:
-            self.check_cap(n)
             self._delta_cache[n] = self._face_matrix(n + 1, chains=False)
         return self._delta_cache[n]
 
@@ -126,9 +124,7 @@ class BarComplex:
         """d^i : C^i -> C^{i+1} of the complete complex, whose degree i >= 0
         holds the bar cochains C^i and degree i < 0 the chains C_{-1-i}:
         the coboundary for i >= 0, the trace at -1, the boundary below.
-
-        delta_0 and d_1 are built without the cap, so that Tate degrees 0
-        and -1 need none.
+        Every bar matrix, delta_0 and d_1 included, is built under the cap.
         """
         if i >= 1:
             return self.delta_matrix(i)
@@ -163,7 +159,6 @@ class BarComplex:
           + sum (-1)^i m (x) [...|g_i g_{i+1}|...] + (-1)^n m (x) [g1|...].
         """
         if n not in self._boundary_cache:
-            self.check_cap(n)
             self._boundary_cache[n] = self._face_matrix(n, chains=True)
         return self._boundary_cache[n]
 
@@ -223,7 +218,6 @@ def bar_cohomology(group, module, n):
         return tate(group, module, n)
     if n < 0:
         raise ValueError("cohomology degrees must be >= 0 (use tate for negatives)")
-    BarComplex(group, module).check_cap(n)
     if module.p:
         return CohomologyResult(0, module.ring, dim=module.fixed_dim())
     return CohomologyResult(0, "Z", structure=FiniteAbelianGroup([], module.fixed_dim()))
@@ -250,10 +244,6 @@ def tate(group, module, i):
     """Tate cohomology in any degree from the complete bar complex,
     labelled with the Tate degree i (below -1 it is the homology H_{-1-i})."""
     bc = BarComplex(group, module)
-    if i > 0:
-        bc.check_cap(i)
-    elif i < -1:
-        bc.check_cap(-i)
     k = i if i >= 0 else -1 - i  # bar degree of the (co)chains in Tate degree i
     return _finite_homology(i, module, bc.dim(k),
                             lambda: bc.complete_map(i - 1), lambda: bc.complete_map(i),

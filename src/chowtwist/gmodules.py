@@ -559,7 +559,7 @@ def l_zeta_klein(zeta, n, group=None):
     # same element-major layout inside each block
     L = make_regular(G, "F2")
     Pprev = L.direct_sum(*[L] * (n - 1))
-    D = kleinres.resolution_differential(G, n)
+    D = kleinres.cochain_differential(L, n - 1).T  # d_n : P_n -> P_(n-1)
     # functional f on P_n: slot (p, n-p) contributes C(n,p) a^p b^{n-p} * aug
     f = np.zeros(4 * (n + 1), dtype=np.int64)
     for s in range(n + 1):
@@ -567,7 +567,7 @@ def l_zeta_klein(zeta, n, group=None):
         if c % 2:
             f[4 * s: 4 * (s + 1)] = 1  # augmentation on the group-algebra block
     # f must kill the next differential (cocycle condition)
-    Dnext = kleinres.resolution_differential(G, n + 1)
+    Dnext = kleinres.cochain_differential(L, n).T
     if ((f @ Dnext) % 2).any():
         raise VerificationError("representative is not a cocycle")
     # Omega^n = image of D inside P_{n-1}; induced functional via preimages

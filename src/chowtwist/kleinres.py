@@ -30,44 +30,13 @@ KLEIN_G = 1
 KLEIN_H = 2
 
 
-def _right_mult_matrix(table, elem):
-    """F_2 matrix of multiplication by a group element on the group algebra."""
-    n = len(table)
-    m = np.zeros((n, n), dtype=np.int64)
-    for e in range(n):
-        m[table[e][elem], e] = 1
-    return m
-
-
-def radical_generators(group):
-    """Matrices of a = g+1 and b = h+1 acting on L = F_2[Klein4]."""
-    t = group.table
-    I = np.eye(4, dtype=np.int64)
-    A = (_right_mult_matrix(t, KLEIN_G) + I) % 2
-    B = (_right_mult_matrix(t, KLEIN_H) + I) % 2
-    return A, B
-
-
-def resolution_differential(group, n):
-    """The F_2 matrix of d_n : L^{n+1} -> L^n as a 4n x 4(n+1) array.
-
-    Column block s (basis e_{s, n-s}) maps to a*e_{s-1, n-s} + b*e_{s, n-s-1}.
-    """
-    A, B = radical_generators(group)
-    D = np.zeros((4 * n, 4 * (n + 1)), dtype=np.int64)
-    for s in range(n + 1):
-        p, q = s, n - s
-        if p >= 1:
-            D[4 * (s - 1): 4 * s, 4 * s: 4 * (s + 1)] += A
-        if q >= 1:
-            D[4 * s: 4 * (s + 1), 4 * s: 4 * (s + 1)] += B
-    return D % 2
-
-
 def cochain_differential(M, n):
     """delta_n : M^{n+1} -> M^{n+2} for Hom_L(resolution, M), mod 2.
 
-    (delta f)_{p,q} = (rho(g)+I) f_{p-1,q} + (rho(h)+I) f_{p,q-1}.
+    (delta f)_{p,q} = (rho(g)+I) f_{p-1,q} + (rho(h)+I) f_{p,q-1}.  On the
+    regular module L its transpose is the resolution's own d_{n+1} :
+    L^{n+2} -> L^{n+1}: there rho(g) is multiplication by g, which is
+    symmetric as g = g^-1.
     """
     r = M.rank
     I = np.eye(r, dtype=np.int64)

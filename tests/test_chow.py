@@ -100,25 +100,50 @@ def test_quaternion_degree_zero():
 
 
 def test_mackey_chow_klein():
-    mk = chow.MackeyChowKlein()
-    G = mk.group
+    G = make_klein4()
     full = G.full_subgroup()
     for i in range(3):
-        assert mk.chow_dim(full, i) == i + 1
+        assert chow._klein_chow_dim(full, i) == i + 1
     H = G.generated_subgroup([1])
-    assert mk.chow_dim(H, 2) == 1
-    R = mk.restriction_matrix(full, H, 1)
+    assert chow._klein_chow_dim(H, 2) == 1
+    R = chow._klein_block(full, H, 1)
     assert R.shape == (1, 2)
     # columns are v, u: restriction to <g> sends u -> c and v -> 0
     assert R.tolist() == [[0, 1]]
 
 
 def test_mackey_evaluate_block_requires_containment():
-    mk = chow.MackeyChowKlein()
-    G = mk.group
+    G = make_klein4()
     H = G.generated_subgroup([1])
     K = G.generated_subgroup([2])
-    assert not mk.evaluate_block(K, H, 1, 1).any()  # H not inside K
+    for i in range(4):
+        assert not chow._klein_block(K, H, i).any()  # H not inside K
+
+
+def test_klein_restriction_to_the_trivial_group_is_the_identity_in_degree_0():
+    # CH^0 = Z on every subgroup, and restriction there is the identity
+    G = make_klein4()
+    trivial = G.trivial_subgroup()
+    for K in (G.full_subgroup(), G.generated_subgroup([1])):
+        assert chow._klein_block(K, trivial, 0).tolist() == [[1]]
+        assert chow._klein_block(K, trivial, 1).shape == (0, chow._klein_chow_dim(K, 1))
+
+
+@pytest.mark.parametrize("spec", [
+    "trivialF2", "omega:1", "omega:2", "omega:3", "omega:4", "omega:5",
+    "omega:-1", "omega:-2", "omega:-3", "omega:-4", "omega:-5",
+    "l_zeta:x:2", "l_zeta:x+y:3"])
+def test_motivic_degree_0_is_the_fixed_points(spec):
+    # both coflasque resolutions are onto on G-fixed points, so the degree-0
+    # cokernel is M^G, which is also CH^0
+    M = cli.parse_module(make_klein4(), spec)
+    assert (chow.twisted_motivic_klein(M, 0).value
+            == chow.twisted_chow_klein(M, 0).value == M.fixed_dim())
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_motivic_explicit_degree_0(m):
+    assert chow.twisted_motivic_klein_explicit(m, 0).value == m + 1
 
 
 def test_motivic_explicit_matches_generic():

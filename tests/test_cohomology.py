@@ -180,6 +180,24 @@ def test_resource_cap(monkeypatch):
     assert exc.value.cells > 100
 
 
+def test_resource_cap_counts_the_cells_of_each_bar_matrix(monkeypatch):
+    # C3 with F_3 coefficients: q = 2, r = 1, so delta_2 is 8 x 4 = 32 cells
+    # and d_2 is 2 x 4 = 8 cells
+    G = make_cyclic(3)
+    bc = coh.BarComplex(G, gm.make_trivial(G, "F3"))
+    monkeypatch.setenv("CHOWTWIST_MAX_CELLS", "31")
+    with pytest.raises(ResourceCapError, match="delta_2 of the bar complex needs 32 cells, cap is 31") as exc:
+        bc.delta_matrix(2)
+    assert exc.value.cells == 32
+    monkeypatch.setenv("CHOWTWIST_MAX_CELLS", "32")
+    assert bc.delta_matrix(2).shape == (8, 4)
+    monkeypatch.setenv("CHOWTWIST_MAX_CELLS", "7")
+    with pytest.raises(ResourceCapError, match="d_2 of the bar complex needs 8 cells, cap is 7"):
+        bc.boundary_matrix(2)
+    monkeypatch.setenv("CHOWTWIST_MAX_CELLS", "8")
+    assert bc.boundary_matrix(2).shape == (2, 4)
+
+
 def test_cup_product_cocycle_and_square():
     # x cup x on C2 with F2 coefficients is the nonzero degree-2 class
     G = make_cyclic(2)
