@@ -385,31 +385,36 @@ def _double_coset_coefficients(G, K, H, block):
     return int(coeff[reps].sum())
 
 
-def twisted_motivic_klein(module, i, resolutions=None):
+def motivic_resolutions(module):
+    """The data twisted_motivic_klein evaluates: two coflasque resolutions
+    0 -> A -> B -> M -> 0 and A' -> P -> A, both built greedily
+    (coflasque_resolution with prune) and checked, so a defect raises
+    VerificationError, as (target pieces of B, source pieces of P, the
+    integer matrix of the composite P -> A -> B).  They do not depend on
+    the degree."""
+    res1 = coflasque_resolution(module, prune=True)
+    res1.check()
+    res2 = coflasque_resolution(res1.Q, prune=True)
+    res2.check()
+    # q_basis holds A's basis in B coordinates
+    psi = intlin.product(np.array(res1.q_basis).T, res2.surjection)
+    return [s for s, _ in res1.pieces], [s for s, _ in res2.pieces], psi
+
+
+def twisted_motivic_klein(module, i, resolutions=None, kcm=None):
     """Degree-(2i, i) twisted motivic cohomology of the Klein classifying
     space, as the cokernel of a Chow-group map between covering spaces.
 
-    Two coflasque resolutions 0 -> A -> B -> M -> 0 and A' -> P -> A give
-    a composite P -> B of permutation modules; its Mackey decomposition is
-    evaluated on CH^i of the pieces and the cokernel dimension returned.
-    Both resolutions are built greedily (coflasque_resolution with prune)
-    and checked, so a defect raises VerificationError.  resolutions can
-    supply ((B_pieces, psi)) data directly: a list of (subgroup, offset)
-    target pieces, same for sources, and the integer matrix of P -> B.
+    The composite P -> B of permutation modules from motivic_resolutions
+    has a Mackey decomposition, which is evaluated on CH^i of the pieces,
+    and the cokernel dimension returned.  resolutions can supply that data
+    directly, (target pieces, source pieces, psi): lists of subgroups and
+    the integer matrix of P -> B; it is built from module when absent.  An
+    F_2 module's value is checked to contain its Chow image, read off kcm,
+    the module's KleinChowModule, when given.
     """
     G = module.group
-    if resolutions is None:
-        res1 = coflasque_resolution(module, prune=True)
-        res1.check()
-        A = res1.Q
-        res2 = coflasque_resolution(A, prune=True)
-        res2.check()
-        # composite P -> A -> B; q_basis holds A's basis in B coordinates
-        psi = intlin.product(np.array(res1.q_basis).T, res2.surjection)
-        target_pieces = [s for s, _ in res1.pieces]
-        source_pieces = [s for s, _ in res2.pieces]
-    else:
-        target_pieces, source_pieces, psi = resolutions
+    target_pieces, source_pieces, psi = resolutions or motivic_resolutions(module)
     tgt_dims = [_klein_chow_dim(H, i) for H in target_pieces]
     src_dims = [_klein_chow_dim(K, i) for K in source_pieces]
     total_t, total_s = sum(tgt_dims), sum(src_dims)
@@ -427,7 +432,7 @@ def twisted_motivic_klein(module, i, resolutions=None):
                     s_off[si]:s_off[si + 1]] += _klein_block(K, H, i)
     mat %= 2
     coker = total_t - fp.rank(mat, 2) if total_t else 0
-    if module.p == 2 and coker < twisted_chow_klein(module, i).value:
+    if module.p == 2 and coker < twisted_chow_klein(kcm or module, i).value:
         raise VerificationError("motivic value smaller than the Chow image")
     return TwistedChowResult(i, coker, "motivic_pipeline", cross_check=None,
                              group_name=G.name, module_name=module.name)

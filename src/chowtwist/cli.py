@@ -181,7 +181,7 @@ def cmd_cohomology(args, tate=False):
     lines = ["degree  value"]
     results = []
     for n in degrees:
-        res = coh.tate(G, M, n) if tate else coh.bar_cohomology(G, M, n)
+        res = coh.tate(G, M, n) if tate else coh.cohomology(G, M, n)
         results.append(res.to_json())
         lines.append("%-6d  %s" % (n, _value_str(res)))
     emit(args, lines, {"command": "tate" if tate else "cohomology",
@@ -244,9 +244,10 @@ def cmd_twisted_motivic(args):
     degrees = parse_range(args.degree)
     lines = ["degree  motivic  chow"]
     results = []
+    resolutions, kcm = chow.motivic_resolutions(M), chow.KleinChowModule(M)
     for i in degrees:
-        mot = chow.twisted_motivic_klein(M, i)
-        ch = chow.twisted_chow_klein(M, i)
+        mot = chow.twisted_motivic_klein(M, i, resolutions, kcm)
+        ch = chow.twisted_chow_klein(kcm, i)
         rec = mot.to_json()
         rec["chow"] = {"dim": ch.value}
         results.append(rec)
@@ -356,7 +357,9 @@ def build_parser():
                        help="single degree or a..b range")
         p.add_argument("--format", choices=("table", "json"), default="table")
 
-    p = sub.add_parser("cohomology", help="H^n via the normalized bar resolution")
+    p = sub.add_parser("cohomology",
+                       help="H^n from the small resolution of the group's family, "
+                            "else the normalized bar resolution")
     common(p)
     p.set_defaults(func=cmd_cohomology)
 

@@ -1,7 +1,14 @@
 """Group cohomology, homology and Tate groups via the normalized bar
-resolution, with restriction and chain-level transfer.
+resolution and the small resolutions of the recognised families, with
+restriction and chain-level transfer.
 
-Cochains of degree n are vectors of length (|G|-1)^n * rank(M): one
+cohomology(G, M, n) reads H^n off the small resolution of G's family when
+there is one: in degree n its cochains have dimension r (cyclic), r or 2r
+(quaternion) or (n+1) r (Klein, over F_2), against (|G|-1)^n r for the bar
+complex, r = rank M.  The bar complex stays the oracle: bar_cohomology,
+tate, bar_homology and the transfers use it alone.
+
+Bar cochains of degree n are vectors of length (|G|-1)^n * rank(M): one
 coefficient block per n-tuple of non-identity elements, tuples ordered
 lexicographically in the non-identity element list, so that a tuple's index
 is its base-q number, q = |G|-1, in the positions of its entries.  Tuples
@@ -19,9 +26,9 @@ and H_n for n > 0 are Tate groups; H^0 and H_0 are the ones with a free part.
 For a lattice M the complete complex is exact over Q, as |G| kills every
 Tate group (Brown, III.10 and VI.3), so the rank of each map follows from
 rank M^G and the dimensions alone (BarComplex.rank): the invariant factors
-take it as given, and only their p-adic eliminations run.  The 2-periodic
-resolution of a cyclic group and the Klein resolution in kleinres go
-through the same ker/im routine.
+take it as given, and only their p-adic eliminations run.  The small
+resolutions go through the same ker/im routine, the periodic ones with
+their ranks over Q from exactness in the same way.
 
 Restriction, corestriction (the chain-level transfer) and conjugation move
 cochains between G and a subgroup, taken as subgroup.as_group().  Each map
@@ -36,20 +43,11 @@ G, keyed by the subgroup's elements.  All three maps take one cochain or a
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from . import fp, intlin
-from .errors import ResourceCapError
+from . import fp, intlin, kleinres
+from .errors import VerificationError, check_cells
 from .gmodules import FiniteAbelianGroup
-
-DEFAULT_MAX_CELLS = 1 << 27  # 1 GiB of int64
-
-
-def max_cells():
-    env = os.environ.get("CHOWTWIST_MAX_CELLS")
-    return int(env) if env else DEFAULT_MAX_CELLS
 
 
 class BarComplex:
@@ -82,12 +80,8 @@ class BarComplex:
         is arithmetic on t, and each face is one scatter of blocks over all
         t at once; a merge that hits the identity is dropped."""
         G, M, q, r = self.group, self.module, self.q, self.r
-        cells, cap = q ** (2 * n - 1) * r * r, max_cells()
-        if cells > cap:
-            raise ResourceCapError(
-                "%s of the bar complex needs %d cells, cap is %d"
-                % ("d_%d" % n if chains else "delta_%d" % (n - 1), cells, cap),
-                cells=cells)
+        name = "d_%d" % n if chains else "delta_%d" % (n - 1)
+        check_cells(name + " of the bar complex", q ** (2 * n - 1) * r * r)
         t = np.arange(q ** n)
         entry = [self.nonid[(t // q ** (n - 1 - k)) % q] for k in range(n)]
         shape = (q ** (n - 1), r, q ** n, r) if chains else (q ** n, r, q ** (n - 1), r)
@@ -250,29 +244,109 @@ def tate(group, module, i):
                             lambda: bc.rank(i - 1))
 
 
+def cohomology(group, module, n):
+    """H^n(G, M) from the smallest complex that group.family() offers: the
+    2-periodic resolution of a cyclic group, the 4-periodic one of a
+    generalized quaternion group, the minimal resolution of the Klein group
+    over F_2 (kleinres), and the normalized bar resolution otherwise."""
+    if n < 0:
+        raise ValueError("cohomology degrees must be >= 0 (use tate for negatives)")
+    family = group.family()
+    if family == "cyclic":
+        return cyclic_cohomology(group, module, n)
+    if family == "quaternion":
+        return quaternion_cohomology(group, module, n)
+    if family == "klein" and module.p == 2:
+        d_in = (lambda: kleinres.cochain_differential(module, n - 1)) if n else None
+        return _finite_homology(n, module, (n + 1) * module.rank, d_in,
+                                lambda: kleinres.cochain_differential(module, n))
+    return bar_cohomology(group, module, n)
+
+
+def _periodic_cohomology(n, module, maps, ranks):
+    """H^n of a periodic cochain complex whose map out of degree k is
+    maps[k % len(maps)], with ranks over Q ranks(k), read over Z only;
+    H^0 = M^G is the one group with a free part."""
+    M = module
+    if n == 0 and not M.p:
+        return CohomologyResult(0, "Z", structure=FiniteAbelianGroup([], M.fixed_dim()))
+    k = len(maps)
+    return _finite_homology(n, M, maps[n % k].shape[1],
+                            (lambda: maps[(n - 1) % k]) if n else None,
+                            lambda: maps[n % k], lambda: ranks(n - 1))
+
+
 def cyclic_cohomology(group, module, n):
     """H^n for a cyclic group from the 2-periodic resolution.
 
     The cochain maps alternate S = sigma - 1 (out of even degrees) and the
-    trace (out of odd ones); H^0 = M^G is the one group with a free part.
-    sigma is the first element of order |G|.  Over Z the complex is exact
-    over Q, so S has rank r - rank M^G and the trace rank M^G.
+    trace (out of odd ones).  sigma is the first element of order |G|.
+    Over Z the complex is exact over Q, so S has rank r - rank M^G and the
+    trace rank M^G.
     """
     if group.family() != "cyclic":
         raise ValueError("periodic resolution needs a cyclic group")
     M = module
-    if n == 0 and not M.p:
-        return CohomologyResult(0, "Z", structure=FiniteAbelianGroup([], M.fixed_dim()))
     S = M.act(group.cyclic_generator()) - np.eye(M.rank, dtype=np.int64)
+    f = None if M.p else M.fixed_rank()
+    return _periodic_cohomology(n, M, [S, M.trace_matrix()],
+                                lambda k: f if k % 2 else M.rank - f)
 
-    def d(k):
-        return M.trace_matrix() if k % 2 else S
 
-    def rank(k):
-        return M.fixed_rank() if k % 2 else M.rank - M.fixed_rank()
+def quaternion_maps(group, module):
+    """The cochain maps delta^0..delta^3 of the 4-periodic resolution of a
+    generalized quaternion group <x, y | x^t = y^2, xyx = y>, |G| = 4t
+    (Cartan-Eilenberg, Homological Algebra, XII.7), on Hom_G(-, M).
 
-    return _finite_homology(n, M, M.rank, (lambda: d(n - 1)) if n else None,
-                            lambda: d(n), lambda: rank(n - 1))
+    x is the first element of order 2t and y the first with y^2 = x^t and
+    xyx = y, both read off the table.  The cochains have dimensions r, 2r,
+    2r, r, and with N = sum_{k<t} rho(x^k)
+
+      delta^0 = [rho(x) - I ; rho(y) - I],
+      delta^1 = [[N, -(rho(y) + I)], [rho(xy) + I, rho(x) - I]],
+      delta^2 = [rho(x) - I, I - rho(xy)],
+      delta^3 = the trace, and delta^(n+4) = delta^n.
+
+    delta^(k+1) delta^k = 0 is checked exactly, and a failure raises
+    VerificationError.
+    """
+    G, M = group, module
+    if G.family() != "quaternion":
+        raise ValueError("4-periodic resolution needs a generalized quaternion group")
+    t = G.order // 4
+    x = G.element_orders.tolist().index(2 * t)
+    powers = [G.identity]
+    for _ in range(t):
+        powers.append(G.mul(powers[-1], x))
+    xt = powers[-1]
+    y = next(g for g in range(G.order)
+             if G.mul(g, g) == xt and G.mul(G.mul(x, g), x) == g)
+    rho, eye = M.act, np.eye(M.rank, dtype=np.int64)
+    rx, ry, rxy = rho(x), rho(y), rho(G.mul(x, y))
+    maps = [np.vstack([rx - eye, ry - eye]),
+            np.block([[sum(rho(g) for g in powers[:-1]), -(ry + eye)],
+                      [rxy + eye, rx - eye]]),
+            np.hstack([rx - eye, eye - rxy]),
+            M.trace_matrix()]
+    if M.p:
+        maps = [d % M.p for d in maps]
+    for k in range(4):
+        square = intlin.product(maps[(k + 1) % 4], maps[k])
+        if (square % M.p if M.p else square).any():
+            raise VerificationError("delta^%d delta^%d is not zero on the "
+                                    "quaternion resolution" % ((k + 1) % 4, k))
+    return maps
+
+
+def quaternion_cohomology(group, module, n):
+    """H^n for a generalized quaternion group from the 4-periodic
+    resolution of quaternion_maps.  Over Z its complete complex is exact
+    over Q, so with f = rank M^G the maps have ranks r - f, r + f, r - f
+    and f."""
+    M = module
+    r, f = M.rank, None if M.p else M.fixed_rank()
+    return _periodic_cohomology(n, M, quaternion_maps(group, M),
+                                lambda k: (r - f, r + f, r - f, f)[k % 4])
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types, and the cell cap that ResourceCapError enforces."""
+
+import os
 
 
 class ChowtwistError(Exception):
@@ -18,6 +20,23 @@ class ResourceCapError(ChowtwistError):
     def __init__(self, message, cells=None):
         super().__init__(message)
         self.cells = cells
+
+
+DEFAULT_MAX_CELLS = 1 << 27  # 1 GiB of int64
+
+
+def max_cells():
+    env = os.environ.get("CHOWTWIST_MAX_CELLS")
+    return int(env) if env else DEFAULT_MAX_CELLS
+
+
+def check_cells(what, cells):
+    """Raise ResourceCapError naming the matrix `what` when its cells pass
+    max_cells(); call it before the matrix is allocated."""
+    cap = max_cells()
+    if cells > cap:
+        raise ResourceCapError("%s needs %d cells, cap is %d" % (what, cells, cap),
+                               cells=cells)
 
 
 class VerificationError(ChowtwistError):

@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import check_cells
+
 KLEIN_G = 1
 KLEIN_H = 2
 
@@ -36,9 +38,11 @@ def cochain_differential(M, n):
     (delta f)_{p,q} = (rho(g)+I) f_{p-1,q} + (rho(h)+I) f_{p,q-1}.  On the
     regular module L its transpose is the resolution's own d_{n+1} :
     L^{n+2} -> L^{n+1}: there rho(g) is multiplication by g, which is
-    symmetric as g = g^-1.
+    symmetric as g = g^-1.  It has (n+2)(n+1) r^2 cells, and one above
+    max_cells() raises ResourceCapError before any is allocated.
     """
     r = M.rank
+    check_cells("delta_%d of the Klein resolution" % n, (n + 2) * (n + 1) * r * r)
     I = np.eye(r, dtype=np.int64)
     A = (M.act(KLEIN_G) + I) % 2
     B = (M.act(KLEIN_H) + I) % 2
@@ -50,16 +54,6 @@ def cochain_differential(M, n):
         if q >= 1:
             D[s * r: (s + 1) * r, s * r: (s + 1) * r] += B
     return D % 2
-
-
-def cohomology_dim(M, n):
-    """dim_{F_2} H^n(Klein4, M) via the minimal resolution."""
-    # imported here: cohomology imports gmodules, which imports this module
-    from .cohomology import _finite_homology
-
-    d_in = (lambda: cochain_differential(M, n - 1)) if n else None
-    return _finite_homology(n, M, (n + 1) * M.rank, d_in,
-                            lambda: cochain_differential(M, n)).dim
 
 
 def coboundary_rows(M, n):

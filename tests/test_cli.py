@@ -131,6 +131,30 @@ def test_twisted_motivic(capsys):
     assert "6" in out and "5" in out
 
 
+def test_twisted_motivic_builds_its_resolutions_once(capsys, monkeypatch):
+    from chowtwist import chow
+
+    calls = {"resolutions": 0, "chow modules": 0}
+    resolve, init = chow.coflasque_resolution, chow.KleinChowModule.__init__
+
+    def counted_resolve(*args, **kwargs):
+        calls["resolutions"] += 1
+        return resolve(*args, **kwargs)
+
+    def counted_init(self, module):
+        calls["chow modules"] += 1
+        init(self, module)
+
+    monkeypatch.setattr(chow, "coflasque_resolution", counted_resolve)
+    monkeypatch.setattr(chow.KleinChowModule, "__init__", counted_init)
+    code, out = run(capsys, ["twisted-motivic", "--group", "klein4",
+                             "--module", "omega:-3", "--degree", "0..3"])
+    assert code == 0
+    assert out == ("degree  motivic  chow\n0       4        4\n1       8        6\n"
+                   "2       12       8\n3       16       10\n")
+    assert calls == {"resolutions": 2, "chow modules": 1}
+
+
 def test_coflasque_predicate_and_resolve(capsys):
     code, out = run(capsys, ["coflasque", "--group", "C4", "--module", "sign"])
     assert code == 0
@@ -281,7 +305,9 @@ def test_permutation_index_outside_the_group_exit_2(indices, capsys):
 
 def test_resource_cap_exit_3(capsys, monkeypatch):
     monkeypatch.setenv("CHOWTWIST_MAX_CELLS", "50")
-    code = cli.main(["cohomology", "--group", "C6", "--module", "regular",
+    # tate stays on the bar complex; cohomology of C6 takes the 2-periodic
+    # resolution, which fits under this cap
+    code = cli.main(["tate", "--group", "C6", "--module", "regular",
                      "--degree", "3"])
     out = capsys.readouterr().out + capsys.readouterr().err
     assert code == cli.EXIT_CAP

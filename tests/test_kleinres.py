@@ -1,8 +1,10 @@
 import numpy as np
+import pytest
 
 from chowtwist import cohomology as coh
 from chowtwist import gmodules as gm
 from chowtwist import kleinres
+from chowtwist.errors import ResourceCapError
 from chowtwist.groups import make_klein4
 
 
@@ -27,11 +29,15 @@ def test_minimal_ranks():
 
 
 def test_cohomology_dim_matches_bar():
+    # cohomology takes the minimal resolution for a Klein F_2 module
     G = make_klein4()
-    for M in (gm.make_trivial(G, "F2"), gm.omega_negative_klein(1),
-              gm.omega_klein(1)):
-        for n in (0, 1, 2, 3):
-            assert kleinres.cohomology_dim(M, n) == coh.bar_cohomology(G, M, n).dim
+    mods = [gm.make_trivial(G, "F2")]
+    for m in (1, 2, 3):
+        mods += [gm.omega_klein(m, G), gm.omega_negative_klein(m, G)]
+    for M in mods:
+        for n in range(6):
+            small = coh.cohomology(G, M, n).to_json()
+            assert small == coh.bar_cohomology(G, M, n).to_json(), (M.name, n)
 
 
 def test_monomial_cocycles_are_cocycles():
@@ -53,3 +59,14 @@ def test_shifts_commute_up_to_coboundary():
     zy = np.concatenate([z, np.zeros(2 * M.rank, dtype=np.int64)])
     direct = kleinres.monomial_cocycle(M, m0, 2, 2)
     assert np.array_equal(zy % 2, direct % 2)
+
+
+def test_resource_cap_counts_the_cells_of_each_klein_matrix(monkeypatch):
+    # trivial F_2: delta_2 is 4 x 3 = 12 cells
+    M = gm.make_trivial(make_klein4(), "F2")
+    monkeypatch.setenv("CHOWTWIST_MAX_CELLS", "11")
+    with pytest.raises(ResourceCapError, match="delta_2 of the Klein resolution needs 12 cells, cap is 11") as exc:
+        kleinres.cochain_differential(M, 2)
+    assert exc.value.cells == 12
+    monkeypatch.setenv("CHOWTWIST_MAX_CELLS", "12")
+    assert kleinres.cochain_differential(M, 2).shape == (4, 3)
