@@ -358,8 +358,8 @@ def build_parser():
         p.add_argument("--format", choices=("table", "json"), default="table")
 
     p = sub.add_parser("cohomology",
-                       help="H^n from the small resolution of the group's family, "
-                            "else the normalized bar resolution")
+                       help="H^n from the tensor resolution of an abelian group or the "
+                            "periodic one of a quaternion group, else the bar resolution")
     common(p)
     p.set_defaults(func=cmd_cohomology)
 

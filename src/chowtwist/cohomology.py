@@ -2,11 +2,11 @@
 resolution and the small resolutions of the recognised families, with
 restriction and chain-level transfer.
 
-cohomology(G, M, n) reads H^n off the small resolution of G's family when
-there is one: in degree n its cochains have dimension r (cyclic), r or 2r
-(quaternion) or (n+1) r (Klein, over F_2), against (|G|-1)^n r for the bar
-complex, r = rank M.  The bar complex stays the oracle: bar_cohomology,
-tate, bar_homology and the transfers use it alone.
+cohomology(G, M, n) reads H^n off a small resolution when the table has
+one: in degree n its cochains have dimension r or 2r (generalized
+quaternion) or C(n+k-1, k-1) r (abelian, k cyclic factors), against
+(|G|-1)^n r for the bar complex, r = rank M.  The bar complex stays the
+oracle: bar_cohomology, tate, bar_homology and the transfers use it alone.
 
 Bar cochains of degree n are vectors of length (|G|-1)^n * rank(M): one
 coefficient block per n-tuple of non-identity elements, tuples ordered
@@ -27,8 +27,8 @@ For a lattice M the complete complex is exact over Q, as |G| kills every
 Tate group (Brown, III.10 and VI.3), so the rank of each map follows from
 rank M^G and the dimensions alone (BarComplex.rank): the invariant factors
 take it as given, and only their p-adic eliminations run.  The small
-resolutions go through the same ker/im routine, the periodic ones with
-their ranks over Q from exactness in the same way.
+resolutions go through the same ker/im routine, with their ranks over Q
+from exactness in the same way.
 
 Restriction, corestriction (the chain-level transfer) and conjugation move
 cochains between G and a subgroup, taken as subgroup.as_group().  Each map
@@ -42,6 +42,8 @@ G, keyed by the subgroup's elements.  All three maps take one cochain or a
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -245,52 +247,53 @@ def tate(group, module, i):
 
 
 def cohomology(group, module, n):
-    """H^n(G, M) from the smallest complex that group.family() offers: the
-    2-periodic resolution of a cyclic group, the 4-periodic one of a
-    generalized quaternion group, the minimal resolution of the Klein group
-    over F_2 (kleinres), and the normalized bar resolution otherwise."""
+    """H^n(G, M) from the smallest complex the table offers: the 4-periodic
+    resolution of a generalized quaternion group, the tensor resolution of
+    kleinres on G.abelian_basis(), checking delta^n delta^(n-1) = 0 exactly
+    (VerificationError), and the normalized bar resolution otherwise."""
     if n < 0:
         raise ValueError("cohomology degrees must be >= 0 (use tate for negatives)")
-    family = group.family()
-    if family == "cyclic":
-        return cyclic_cohomology(group, module, n)
-    if family == "quaternion":
-        return quaternion_cohomology(group, module, n)
-    if family == "klein" and module.p == 2:
-        d_in = (lambda: kleinres.cochain_differential(module, n - 1)) if n else None
-        return _finite_homology(n, module, (n + 1) * module.rank, d_in,
-                                lambda: kleinres.cochain_differential(module, n))
-    return bar_cohomology(group, module, n)
+    basis = group.abelian_basis()
+    if basis is None and group.family() == "quaternion":
+        maps = quaternion_maps(group, module)
+        return _resolution_cohomology(n, module, lambda j: maps[j % 4].shape[1],
+                                      lambda j: maps[j % 4])
+    if basis is None:
+        return bar_cohomology(group, module, n)
+    maps = {j: kleinres.cochain_differential(module, j, basis) for j in {max(n - 1, 0), n}}
+    if n:
+        square = intlin.product(maps[n], maps[n - 1])
+        if (square % module.p if module.p else square).any():
+            raise VerificationError("delta^%d delta^%d is not zero on the "
+                                    "tensor resolution" % (n, n - 1))
+    k, r = len(basis), module.rank
+    return _resolution_cohomology(n, module, lambda j: math.comb(j + k - 1, k - 1) * r,
+                                  maps.__getitem__)
 
 
-def _periodic_cohomology(n, module, maps, ranks):
-    """H^n of a periodic cochain complex whose map out of degree k is
-    maps[k % len(maps)], with ranks over Q ranks(k), read over Z only;
-    H^0 = M^G is the one group with a free part."""
-    M = module
+def _resolution_cohomology(n, M, dim, delta):
+    """H^n of a resolution's cochains, dim(j) of them in degree j with
+    delta(j) out of it.  H^0 over Z is M^G, the one group with a free part;
+    above it the complex is exact over Q, so rank delta^0 = r - rank M^G
+    and rank delta^j = dim(j) - rank delta^(j-1)."""
     if n == 0 and not M.p:
         return CohomologyResult(0, "Z", structure=FiniteAbelianGroup([], M.fixed_dim()))
-    k = len(maps)
-    return _finite_homology(n, M, maps[n % k].shape[1],
-                            (lambda: maps[(n - 1) % k]) if n else None,
-                            lambda: maps[n % k], lambda: ranks(n - 1))
+
+    def rank_in():
+        rank = M.rank - M.fixed_rank()
+        for j in range(1, n):
+            rank = dim(j) - rank
+        return rank
+
+    return _finite_homology(n, M, dim(n), (lambda: delta(n - 1)) if n else None,
+                            lambda: delta(n), rank_in)
 
 
 def cyclic_cohomology(group, module, n):
-    """H^n for a cyclic group from the 2-periodic resolution.
-
-    The cochain maps alternate S = sigma - 1 (out of even degrees) and the
-    trace (out of odd ones).  sigma is the first element of order |G|.
-    Over Z the complex is exact over Q, so S has rank r - rank M^G and the
-    trace rank M^G.
-    """
+    """H^n for a cyclic group: the tensor resolution on (cyclic_generator(),)."""
     if group.family() != "cyclic":
         raise ValueError("periodic resolution needs a cyclic group")
-    M = module
-    S = M.act(group.cyclic_generator()) - np.eye(M.rank, dtype=np.int64)
-    f = None if M.p else M.fixed_rank()
-    return _periodic_cohomology(n, M, [S, M.trace_matrix()],
-                                lambda k: f if k % 2 else M.rank - f)
+    return cohomology(group, module, n)
 
 
 def quaternion_maps(group, module):
@@ -336,17 +339,6 @@ def quaternion_maps(group, module):
             raise VerificationError("delta^%d delta^%d is not zero on the "
                                     "quaternion resolution" % ((k + 1) % 4, k))
     return maps
-
-
-def quaternion_cohomology(group, module, n):
-    """H^n for a generalized quaternion group from the 4-periodic
-    resolution of quaternion_maps.  Over Z its complete complex is exact
-    over Q, so with f = rank M^G the maps have ranks r - f, r + f, r - f
-    and f."""
-    M = module
-    r, f = M.rank, None if M.p else M.fixed_rank()
-    return _periodic_cohomology(n, M, quaternion_maps(group, M),
-                                lambda k: (r - f, r + f, r - f, f)[k % 4])
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,7 @@ class FiniteGroup:
             raise ValueError("element labels must be distinct")
         self.inverse = np.argmax(t == 0, axis=1)  # the column of each row's 0
         self.inverse.setflags(write=False)
-        self._orders = None
+        self._orders, self._basis = None, ()  # memos; () is "not searched yet"
         if generators is None:
             generators = list(range(1, n)) or [0]
         self.generators = self._indices(generators)
@@ -95,6 +95,24 @@ class FiniteGroup:
     def cyclic_generator(self):
         """The first element of order |G|; a ValueError if there is none."""
         return self.element_orders.tolist().index(self.order)
+
+    def abelian_basis(self):
+        """(g_1, .., g_k) with G = <g_1> x ... x <g_k>, or None, from the
+        table: by descending order, first index first, each g whose <g> meets
+        the subgroup reached so far only in e, until G is reached.  None also
+        when the table is not symmetric.  Memoised."""
+        if self._basis == ():
+            basis, reached = [], np.array([self.identity])
+            if np.array_equal(self.table, self.table.T):
+                for g in np.argsort(-self.element_orders, kind="stable").tolist():
+                    cyclic = np.flatnonzero(self._closure([g]))
+                    if np.isin(cyclic, reached).sum() == 1:
+                        basis.append(g)
+                        reached = self.table[reached[:, None], cyclic].ravel()
+                        if len(reached) == self.order:
+                            break
+            self._basis = tuple(basis) if len(reached) == self.order else None
+        return self._basis
 
     def family(self):
         """The family of G, read from the element orders alone: "cyclic",

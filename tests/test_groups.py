@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import time
 
@@ -77,6 +78,47 @@ def test_cyclic_generator_by_element_order():
     assert abelian([2, 3], "C2xC3").cyclic_generator() == 3  # (1, 1)
     with pytest.raises(ValueError):
         make_klein4().cyclic_generator()
+
+
+def _abelian_types(top):
+    """Every finite abelian group of order 2..top, as its invariant factors
+    d_1 | d_2 | ..."""
+    out = []
+
+    def grow(rest, factors):
+        if rest == 1:
+            out.append(factors)
+        for d in range(2, rest + 1):
+            if rest % d == 0 and (not factors or d % factors[-1] == 0):
+                grow(rest // d, factors + [d])
+
+    for n in range(2, top + 1):
+        grow(n, [])
+    return out
+
+
+def test_abelian_basis_splits_every_abelian_table():
+    types = _abelian_types(64)
+    assert len(types) == 116
+    for orders in types:
+        A = abelian(orders, "A")
+        rng = random.Random(A.order + len(orders))
+        for G in [A] + [relabel(A, [0] + rng.sample(range(1, A.order), A.order - 1))
+                        for _ in range(3)]:
+            basis = G.abelian_basis()
+            assert basis is not None, orders
+            assert math.prod(G.element_order(g) for g in basis) == G.order, orders
+            assert G.generated_subgroup(basis).order == G.order, orders
+            assert G.abelian_basis() is basis  # memoised
+
+
+def test_abelian_basis_of_the_named_families():
+    for m in range(1, 10):
+        G = make_cyclic(m)
+        assert G.abelian_basis() == (G.cyclic_generator(),)
+    assert make_klein4().abelian_basis() == (1, 2)
+    for G in (make_quaternion(3), metacyclic(4, -1, 0, "D8"), metacyclic(3, -1, 0, "S3")):
+        assert G.abelian_basis() is None, G.name
 
 
 def test_group_by_name():

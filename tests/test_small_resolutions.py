@@ -1,6 +1,7 @@
-"""cohomology.cohomology, which reads H^n off the small resolution that
-group.family() picks, against the normalized bar complex at the degrees
-where the bar complex is cheap (the Klein F_2 case is in test_kleinres)."""
+"""cohomology.cohomology, which reads H^n off the 4-periodic resolution of
+a generalized quaternion group or the tensor resolution of an abelian one,
+against the normalized bar complex at the degrees where the bar complex is
+cheap (the Klein F_2 modules are in test_kleinres)."""
 
 import random
 
@@ -10,9 +11,9 @@ import pytest
 from chowtwist import cohomology as coh
 from chowtwist import gmodules as gm
 from chowtwist.errors import VerificationError
-from chowtwist.groups import make_cyclic, make_quaternion
+from chowtwist.groups import make_cyclic, make_klein4, make_quaternion
 
-from conftest import abelian, relabel
+from conftest import abelian, change_ring_mod, metacyclic, relabel
 
 
 def _agree(G, modules, degrees):
@@ -64,17 +65,67 @@ def test_quaternion_resolution_of_a_relabelled_group(k, top):
     _agree(G, mods, range(top + 1))
 
 
-def test_unrecognised_group_takes_the_bar_complex(monkeypatch):
-    G = abelian([2, 4], "C2xC4")
-    assert G.family() is None
-    built = []
+def _abelian_modules(G):
+    rng = random.Random(G.order)
+    I = gm.augmentation_ideal(G)
+    return [gm.make_trivial(G), gm.make_regular(G), I, gm.make_augmentation_quotient(G),
+            gm.make_trivial(G, "F2"), gm.make_trivial(G, "F3"), change_ring_mod(I, 2),
+            gm.random_lattice(G, rng)]
+
+
+@pytest.mark.parametrize("orders, top", [([2, 2], 3), ([2, 4], 3), ([2, 2, 2], 3),
+                                         ([3, 3], 2), ([2, 6], 2)],
+                         ids=["C2xC2", "C2xC4", "C2xC2xC2", "C3xC3", "C2xC6"])
+def test_tensor_resolution_matches_bar(orders, top):
+    A = abelian(orders, "x".join("C%d" % m for m in orders))
+    perm = [0] + random.Random(A.order).sample(range(1, A.order), A.order - 1)
+    for G in (A, relabel(A, perm)):
+        assert G.abelian_basis() is not None
+        _agree(G, _abelian_modules(G), range(top + 1))
+
+
+def test_tensor_resolution_in_degree_four_of_c2xc6():
+    G = abelian([2, 6], "C2xC6")
+    res = coh.cohomology(G, gm.make_trivial(G), 4)
+    assert res.structure == gm.FiniteAbelianGroup([2, 2, 6])
+
+
+def _bar_matrices_built(monkeypatch, G, modules, degrees):
+    """The degrees of the bar matrices that coh.cohomology builds, and
+    whether its answers agree with bar_cohomology (which builds bar
+    matrices of its own, not counted)."""
+    built, inside = [], [False]
     face = coh.BarComplex._face_matrix
-    monkeypatch.setattr(coh.BarComplex, "_face_matrix",
-                        lambda self, n, chains: built.append(n) or face(self, n, chains))
-    for M in (gm.make_trivial(G), gm.make_trivial(G, "F2")):
-        for n in range(3):
-            assert coh.cohomology(G, M, n).to_json() == coh.bar_cohomology(G, M, n).to_json()
-    assert built
+
+    def counted(self, n, chains):
+        if inside[0]:
+            built.append(n)
+        return face(self, n, chains)
+
+    monkeypatch.setattr(coh.BarComplex, "_face_matrix", counted)
+    agree = True
+    for M in modules:
+        for n in degrees:
+            inside[0] = True
+            small = coh.cohomology(G, M, n).to_json()
+            inside[0] = False
+            agree &= small == coh.bar_cohomology(G, M, n).to_json()
+    return built, agree
+
+
+def test_unrecognised_group_takes_the_bar_complex(monkeypatch):
+    G = metacyclic(4, -1, 0, "D8")
+    assert G.family() is None and G.abelian_basis() is None
+    built, agree = _bar_matrices_built(
+        monkeypatch, G, (gm.make_trivial(G), gm.make_trivial(G, "F2")), range(3))
+    assert agree and built
+
+
+def test_klein_over_z_and_f3_builds_no_bar_matrix(monkeypatch):
+    G = make_klein4()
+    built, agree = _bar_matrices_built(
+        monkeypatch, G, (gm.make_trivial(G), gm.make_trivial(G, "F3")), range(4))
+    assert agree and not built
 
 
 def test_quaternion_periodicity_in_degree_four():
